@@ -40,7 +40,6 @@ _DEFAULTS = {
     "window-ps": 1000,
     "out": None,
     "format": "csv",
-    "threads": 1,
     "mu": 0.1,
     "rate": 1.0e6,
     "jitter": False,
@@ -69,7 +68,6 @@ _CASTS = {
     "window-ps": int,
     "out": str,
     "format": str,
-    "threads": int,
     "mu": float,
     "rate": float,
     "jitter": lambda s: str(s).strip().lower() in ("1", "true", "yes", "on"),
@@ -121,7 +119,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--window-ps", type=int, default=None, help="coincidence window in ps")
     parser.add_argument("--out", default=None, help="output file path")
     parser.add_argument("--format", choices=["csv"], default=None)
-    parser.add_argument("--threads", type=int, default=None, help="worker cap for stochastic sweeps")
     parser.add_argument("--raw", action="store_const", const=True, default=None,
                         help="report raw squared amplitudes instead of peak-normalized values")
 
@@ -163,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--jitter", action="store_const", const=True, default=None,
                            help="exponential inter-detector delay of scale tau_c/2")
         if name == "events-match":
-            p.add_argument("--in", dest="in_path", default=None, help="input stream path")
+            p.add_argument("--in", default=None, help="input stream path")
             p.add_argument("--hist-out", default=None, help="write the delay histogram CSV here")
             p.add_argument("--bin-ps", type=int, default=None)
             p.add_argument("--range-ps", type=int, default=None)
@@ -189,9 +186,19 @@ def _read_config(path: str) -> dict:
     return entries
 
 
+def _join_grid_value(argv: list[str]) -> list[str]:
+    """Rewrite ``--grid LO:HI:STEP`` as ``--grid=LO:HI:STEP``; argparse
+    would read a negative LO as an option and report a missing value."""
+    argv = list(argv)
+    while "--grid" in argv[:-1]:
+        i = argv.index("--grid")
+        argv[i : i + 2] = [f"--grid={argv[i + 1]}"]
+    return argv
+
+
 def parse_args(argv=None) -> CliInvocation:
     parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = parser.parse_args(_join_grid_value(sys.argv[1:] if argv is None else argv))
     cli_values = vars(ns)
     subcommand = cli_values.pop("subcommand")
     config_path = cli_values.pop("config", None)
@@ -207,11 +214,11 @@ def parse_args(argv=None) -> CliInvocation:
         options.update(_read_config(config_path))
     for key, value in cli_values.items():
         if value is not None:
-            options[key.replace("_", "-").replace("in-path", "in")] = value
+            options[key.replace("_", "-")] = value
     return CliInvocation(subcommand, options)
 
 
-def _parse_grid(text: str | None, delta_big: float) -> DetuningGrid | None:
+def _parse_grid(text: str | None) -> DetuningGrid | None:
     if text is None:
         return None
     parts = text.split(":")
@@ -230,12 +237,11 @@ def _parse_grid(text: str | None, delta_big: float) -> DetuningGrid | None:
 def _experiment_config(options: dict) -> ExperimentConfig:
     return ExperimentConfig(
         delta_big=options["delta-hz"],
-        grid=_parse_grid(options["grid"], options["delta-hz"]),
+        grid=_parse_grid(options["grid"]),
         tau=options["tau-s"],
         n_pairs=options["pairs"],
         seed=options["seed"],
         mode=RunMode(options["mode"]),
-        threads=options["threads"],
         raw_values=bool(options["raw"]),
     )
 
@@ -314,7 +320,7 @@ def _cmd_chsh(options: dict) -> int:
 def _cmd_events_generate(options: dict) -> int:
     if options["out"] is None:
         raise CliError("events-generate needs --out")
-    grid = _parse_grid(options["grid"], options["delta-hz"])
+    grid = _parse_grid(options["grid"])
     src = SourceConfig(
         mu=options["mu"],
         rate=options["rate"],

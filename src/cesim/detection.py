@@ -15,52 +15,73 @@ of the routing tree.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
 from .interferometer import EraserSetting, PairSetting
-from .optics import FieldState, ModeLabel, Path, Port
+from .optics import Detune, FieldState, ModeLabel, Path, Pol, Port
 from .source import PairBatch, PairEvent
+
+
+# A detected photon's mode tag is the low two bits of its CESIMTT1 flags
+# byte.  The arm of origin is not part of it: port A sees the arm-1 photon
+# as V and the arm-2 photon as H, port B the reverse, so on a cross-port
+# pair (port, polarization) already names the arm.
+FLAG_BRANCH_PLUS = 0x01  # positive frequency branch
+FLAG_POL_V = 0x02  # V polarization at the analyzer input
+TAG_BITS = FLAG_BRANCH_PLUS | FLAG_POL_V
+
+
+def mode_tag(route, port, sign):
+    """Tag of the photon from arm ``route`` (1 or 2) that exits ``port``
+    (0 = A, 1 = B) of a pair whose arm 1 carries branch ``sign``.
+
+    Works on ints and, elementwise, on numpy arrays.
+    """
+    arm1 = route == 1
+    return ((sign > 0) == arm1) * FLAG_BRANCH_PLUS + (arm1 == (port == 0)) * FLAG_POL_V
 
 
 @dataclass(frozen=True)
 class SelectionRule:
-    """Acceptance predicate over the two detected mode tags.
+    """Accept table over the detected tags of a cross-port pair.
 
-    The first tag is the port A (D1) component, the second the port B (D2)
-    component; being called on a cross-port pair is implicit in the
-    signature.
+    Bit ``4 * tag_d1 + tag_d2`` of ``mask`` is set when a pair with those
+    D1 (port A) and D2 (port B) tags is kept.
     """
 
-    name: str
-    predicate: Callable[[ModeLabel, ModeLabel], bool]
+    mask: int
 
-    def accepts(self, tag_a: ModeLabel, tag_b: ModeLabel) -> bool:
-        return self.predicate(tag_a, tag_b)
+    def __post_init__(self):
+        if not 0 <= self.mask <= 0xFFFF:
+            raise ValueError("selection mask must fit in 16 bits")
 
-    @staticmethod
-    def heterodyne() -> "SelectionRule":
-        """Same polarization, opposite branch, opposite arm of origin."""
+    def accepts(self, tag_d1: int, tag_d2: int) -> bool:
+        return bool(self.mask >> (4 * tag_d1 + tag_d2) & 1)
 
-        def accept(a: ModeLabel, b: ModeLabel) -> bool:
-            return a.pol is b.pol and a.detune is not b.detune and a.path is not b.path
+    @classmethod
+    def heterodyne(cls) -> "SelectionRule":
+        """Same polarization at opposite branches.  Across the two ports a
+        shared polarization means opposite arms of origin."""
+        return cls(sum(1 << (4 * tag + (tag ^ FLAG_BRANCH_PLUS)) for tag in range(4)))
 
-        return SelectionRule("heterodyne", accept)
-
-    @staticmethod
-    def inverted() -> "SelectionRule":
+    @classmethod
+    def inverted(cls) -> "SelectionRule":
         """Complement of the heterodyne rule (diagnostics only)."""
-        base = SelectionRule.heterodyne()
-        return SelectionRule("inverted", lambda a, b: not base.accepts(a, b))
+        return cls(~cls.heterodyne().mask & 0xFFFF)
 
-    @staticmethod
-    def cross_port_only() -> "SelectionRule":
+    @classmethod
+    def cross_port_only(cls) -> "SelectionRule":
         """Keep every cross-port pair; disables the heterodyne gating."""
-        return SelectionRule("cross-port-only", lambda a, b: True)
+        return cls(0xFFFF)
+
+
+_HETERODYNE = SelectionRule.heterodyne()
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,19 +141,26 @@ class CorrelationEstimate:
             raise ValueError("normalized rate is inconsistent with the range [0, 1]")
 
 
+def _label_tag(label: ModeLabel) -> int:
+    return (label.detune is Detune.PLUS) * FLAG_BRANCH_PLUS + (label.pol is Pol.V) * FLAG_POL_V
+
+
 def heterodyne_product(e_s: FieldState, e_i: FieldState, rule: SelectionRule | None = None) -> complex:
     """Coherent sum of the rule-accepted terms of the two-port product.
 
-    For the network fields this equals (i/4) e^{i s phi} cos(xi + theta):
-    both surviving terms carry the same detuning phase, so the modulus is
-    detuning-free.
+    ``e_s`` is the port A (D1) field and ``e_i`` the port B (D2) field, so
+    each term's tag is its (polarization, branch).  For the network fields
+    this equals (i/4) e^{i s phi} cos(xi + theta): both surviving terms
+    carry the same detuning phase, so the modulus is detuning-free.
     """
     if not isinstance(e_s, FieldState) or not isinstance(e_i, FieldState):
         raise TypeError("heterodyne_product needs FieldState term lists carrying mode tags")
-    rule = rule or SelectionRule.heterodyne()
+    rule = rule or _HETERODYNE
+    terms_b = [(_label_tag(label), amp) for label, amp in e_i.terms()]
     total = 0j
-    for tag_a, amp_a in e_s.terms():
-        for tag_b, amp_b in e_i.terms():
+    for label_a, amp_a in e_s.terms():
+        tag_a = _label_tag(label_a)
+        for tag_b, amp_b in terms_b:
             if rule.accepts(tag_a, tag_b):
                 total += amp_a * amp_b
     return total
@@ -162,44 +190,41 @@ class Outcome(Enum):
     NO_CLICKS = "no-clicks"
 
 
-def _cross_path_distribution(eraser: EraserSetting | None) -> dict[Outcome, float]:
+def outcome_probabilities(shared_path: Path | None, eraser: EraserSetting | None) -> dict[Outcome, float]:
+    """Outcome-class probabilities of a pair whose photons share the arm
+    ``shared_path``, or take different arms when it is None.
+
+    Same-path pairs never produce an accepted cross-detector coincidence;
+    cross-path pairs reach the accepted class with probability
+    cos^2(xi + theta) / 4 behind analyzers and 1/2 without them. The
+    weights sum to one exactly.
+    """
     if eraser is None:
+        cross = shared_path is None
         return {
-            Outcome.COINCIDENCE: 0.5,
+            Outcome.COINCIDENCE: 0.5 if cross else 0.0,
+            Outcome.REJECTED_COINCIDENCE: 0.0 if cross else 0.5,
+            Outcome.ONLY_D1: 0.0,
+            Outcome.ONLY_D2: 0.0,
+            Outcome.SAME_PORT_A: 0.25,
+            Outcome.SAME_PORT_B: 0.25,
+            Outcome.NO_CLICKS: 0.0,
+        }
+    if shared_path is None:
+        # The two cross-port routes land in the same final mode pair and
+        # add coherently; squaring the summed route amplitudes yields this split.
+        c2 = math.cos(eraser.xi + eraser.theta) ** 2
+        s2 = 1.0 - c2
+        return {
+            Outcome.COINCIDENCE: 0.25 * c2,
             Outcome.REJECTED_COINCIDENCE: 0.0,
-            Outcome.ONLY_D1: 0.0,
-            Outcome.ONLY_D2: 0.0,
+            Outcome.ONLY_D1: 0.25 * s2,
+            Outcome.ONLY_D2: 0.25 * s2,
             Outcome.SAME_PORT_A: 0.25,
             Outcome.SAME_PORT_B: 0.25,
-            Outcome.NO_CLICKS: 0.0,
+            Outcome.NO_CLICKS: 0.25 * c2,
         }
-    # The two cross-port routes land in the same final mode pair and add
-    # coherently; squaring the summed route amplitudes yields this split.
-    c2 = math.cos(eraser.xi + eraser.theta) ** 2
-    s2 = 1.0 - c2
-    return {
-        Outcome.COINCIDENCE: 0.25 * c2,
-        Outcome.REJECTED_COINCIDENCE: 0.0,
-        Outcome.ONLY_D1: 0.25 * s2,
-        Outcome.ONLY_D2: 0.25 * s2,
-        Outcome.SAME_PORT_A: 0.25,
-        Outcome.SAME_PORT_B: 0.25,
-        Outcome.NO_CLICKS: 0.25 * c2,
-    }
-
-
-def _same_path_distribution(path: Path, eraser: EraserSetting | None) -> dict[Outcome, float]:
-    if eraser is None:
-        return {
-            Outcome.COINCIDENCE: 0.0,
-            Outcome.REJECTED_COINCIDENCE: 0.5,
-            Outcome.ONLY_D1: 0.0,
-            Outcome.ONLY_D2: 0.0,
-            Outcome.SAME_PORT_A: 0.25,
-            Outcome.SAME_PORT_B: 0.25,
-            Outcome.NO_CLICKS: 0.0,
-        }
-    if path is Path.PATH1:
+    if shared_path is Path.PATH1:
         t_a = math.sin(eraser.xi) ** 2
         t_b = math.cos(eraser.theta) ** 2
     else:
@@ -222,16 +247,8 @@ def _same_path_distribution(path: Path, eraser: EraserSetting | None) -> dict[Ou
 
 
 def outcome_distribution(event: PairEvent, eraser: EraserSetting | None) -> dict[Outcome, float]:
-    """Probabilities of the joint detection outcome classes for one pair.
-
-    Same-path pairs never produce an accepted cross-detector coincidence;
-    cross-path pairs reach the accepted class with probability
-    cos^2(xi + theta) / 4 behind analyzers and 1/2 without them. The
-    weights sum to one exactly.
-    """
-    if event.cross_path:
-        return _cross_path_distribution(eraser)
-    return _same_path_distribution(event.shared_path, eraser)
+    """Probabilities of the joint detection outcome classes for one pair."""
+    return outcome_probabilities(event.shared_path, eraser)
 
 
 def accepted_route_split(eraser: EraserSetting) -> float:
@@ -255,44 +272,43 @@ def lone_click_route_split(eraser: EraserSetting, port: Port) -> float:
 EventsLike = Union[PairBatch, Iterable[PairEvent]]
 
 
+def _pair_state(route1, route2, port1, port2, sign):
+    """Index 0..31 of a pair's (route1, route2, port1, port2, sign) state;
+    works on ints and, elementwise, on numpy arrays."""
+    return (route1 - 1) + 2 * (route2 - 1) + 4 * port1 + 8 * port2 + 16 * (sign > 0)
+
+
+def _pair_accepted(route1, route2, port1, port2, sign, rule: SelectionRule) -> bool:
+    if port1 == port2:
+        return False
+    tag1, tag2 = mode_tag(route1, port1, sign), mode_tag(route2, port2, sign)
+    return rule.accepts(tag1, tag2) if port1 == Port.A.value else rule.accepts(tag2, tag1)
+
+
 def selection_efficiency(events: EventsLike, rule: SelectionRule | None = None) -> float:
     """Fraction of generated pairs in the rule-accepted class, before any
     analyzer.  With the heterodyne rule the expectation is 1/4: half of
     the pairs split across the arms and half of those exit distinct ports.
     """
-    rule = rule or SelectionRule.heterodyne()
+    rule = rule or _HETERODYNE
     if isinstance(events, PairBatch):
-        n = len(events)
-        if n == 0:
-            raise ValueError("selection efficiency is undefined for an empty stream")
-        cross_port = events.port1 != events.port2
-        if rule.name == "heterodyne":
-            accepted = int(np.count_nonzero(events.cross_mask & cross_port))
-        elif rule.name == "cross-port-only":
-            accepted = int(np.count_nonzero(cross_port))
-        else:
-            accepted = sum(1 for ev in events if _event_accepted(ev, rule))
-        return accepted / n
-    event_list = list(events)
-    if not event_list:
-        raise ValueError("selection efficiency is undefined for an empty stream")
-    accepted = sum(1 for ev in event_list if _event_accepted(ev, rule))
-    return accepted / len(event_list)
-
-
-def _event_accepted(event: PairEvent, rule: SelectionRule) -> bool:
-    if event.port1 is event.port2:
-        return False
-    from .source import pol_at  # local import avoids a cycle at module load
-
-    def tag(route, port):
-        return ModeLabel(route, pol_at(route, port), event.orientation.arm_detune(route))
-
-    if event.port1 is Port.A:
-        tag_a, tag_b = tag(event.route1, Port.A), tag(event.route2, Port.B)
+        states = _pair_state(
+            events.route1, events.route2, events.port1, events.port2, events.orientation_sign
+        )
     else:
-        tag_a, tag_b = tag(event.route2, Port.A), tag(event.route1, Port.B)
-    return rule.accepts(tag_a, tag_b)
+        states = [
+            _pair_state(ev.route1.value, ev.route2.value, ev.port1.value, ev.port2.value, ev.orientation.sign)
+            for ev in events
+        ]
+    counts = np.bincount(np.asarray(states, dtype=np.intp), minlength=32)
+    n = int(counts.sum())
+    if n == 0:
+        raise ValueError("selection efficiency is undefined for an empty stream")
+    accepted = 0
+    for state in itertools.product((1, 2), (1, 2), (0, 1), (0, 1), (-1, 1)):
+        if _pair_accepted(*state, rule):
+            accepted += int(counts[_pair_state(*state)])
+    return accepted / n
 
 
 def sample_coincidence_counts(
@@ -303,7 +319,7 @@ def sample_coincidence_counts(
     route1 = rng.integers(0, 2, n_pairs)
     route2 = rng.integers(0, 2, n_pairs)
     n_cross = int(np.count_nonzero(route1 != route2))
-    p_accept = _cross_path_distribution(eraser)[Outcome.COINCIDENCE]
+    p_accept = outcome_probabilities(None, eraser)[Outcome.COINCIDENCE]
     hits = rng.random(n_cross) < p_accept
     return n_cross, int(np.count_nonzero(hits))
 

@@ -7,14 +7,16 @@ header (10 bytes):
     bytes 8..9   little-endian u16 version, currently 1
 records (16 bytes each, little-endian, packed):
     u64  t_ps       timestamp in integer picoseconds
-    u8   channel    0 = D1 (port A), 1 = D2 (port B)
+    u8   channel    0 = D1 (port A), 1 = D2 (port B); nothing else
     u8   flags      bit0: frequency branch of the detected component
                     (1 = positive branch); bit1: polarization at the
                     analyzer input (0 = H, 1 = V); bit2+ reserved
     u32  pair_id    ground-truth pair identifier, 0xFFFFFFFF if absent
     u16  reserved   written as 0, ignored on read
 
-Timestamps must be non-decreasing per channel within one file.
+Timestamps must be below 2**63 and non-decreasing per channel within one
+file.  The two low flag bits are the click's detected mode tag, the only
+input of the selection rule.
 
 In hardware the frequency branch of a click would be inferred from the
 heterodyne beat; here it rides in the flags because the simulator, not the
@@ -32,22 +34,25 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from .detection import (
+    FLAG_BRANCH_PLUS,
+    FLAG_POL_V,
+    TAG_BITS,
     CoincidenceSetting,
     Outcome,
     SelectionRule,
     accepted_route_split,
     lone_click_route_split,
+    mode_tag,
+    outcome_probabilities,
 )
 from .interferometer import EraserSetting
-from .optics import Detune, ModeLabel, Path, Pol, Port
+from .optics import Path, Port
 from .source import PairBatch
 
 MAGIC = b"CESIMTT1"
 VERSION = 1
 NO_PAIR_ID = 0xFFFF_FFFF
-
-FLAG_BRANCH_PLUS = 0x01
-FLAG_POL_V = 0x02
+T_PS_LIMIT = 2**63  # keeps every timestamp exact in the matcher's int64 arithmetic
 
 RECORD_DTYPE = np.dtype(
     [
@@ -79,6 +84,14 @@ class TruncatedRecordError(StreamFormatError):
 
 
 class TimestampOrderError(StreamFormatError):
+    pass
+
+
+class UnknownChannelError(StreamFormatError):
+    pass
+
+
+class TimestampRangeError(StreamFormatError):
     pass
 
 
@@ -128,12 +141,19 @@ class TagStream:
             for r in self._array
         ]
 
-    def channel_sorted(self) -> bool:
+    def validate(self) -> None:
+        """Raise the StreamFormatError of the first broken wire-format rule:
+        channels in {0, 1}, timestamps below 2**63, time order per channel."""
+        channel = self._array["channel"]
+        t = self._array["t_ps"]
+        if np.any(channel > 1):
+            raise UnknownChannelError("channel outside {0 = D1, 1 = D2}")
+        if np.any(t >= T_PS_LIMIT):
+            raise TimestampRangeError("timestamp at or above 2**63 ps")
         for ch in (0, 1):
-            t = self._array["t_ps"][self._array["channel"] == ch]
-            if len(t) > 1 and np.any(np.diff(t.astype(np.int64)) < 0):
-                return False
-        return True
+            t_ch = t[channel == ch]
+            if np.any(t_ch[1:] < t_ch[:-1]):
+                raise TimestampOrderError("timestamps must be non-decreasing per channel")
 
     def __len__(self) -> int:
         return len(self._array)
@@ -151,8 +171,7 @@ def encode_stream(stream: Union[TagStream, Iterable[TimeTagRecord]]) -> bytes:
     """Serialize a per-channel time-ordered stream to the wire format."""
     if not isinstance(stream, TagStream):
         stream = TagStream.from_records(stream)
-    if not stream.channel_sorted():
-        raise TimestampOrderError("records must be non-decreasing in time per channel")
+    stream.validate()
     header = MAGIC + VERSION.to_bytes(2, "little")
     body = stream.array.tobytes()
     return header + body
@@ -172,14 +191,12 @@ def decode_stream(data: bytes) -> TagStream:
         )
     array = np.frombuffer(body, dtype=RECORD_DTYPE).copy()
     stream = TagStream(array)
-    if not stream.channel_sorted():
-        raise TimestampOrderError("timestamp regression within a channel")
+    stream.validate()
     return stream
 
 
 class RejectReason(Enum):
     NONE = "none"
-    SAME_PORT = "same-port"
     CROSS_POLARIZATION = "cross-polarization"
     SAME_DETUNING = "same-detuning"
     OUT_OF_WINDOW = "out-of-window"
@@ -196,19 +213,17 @@ class CoincidenceRecord:
     pair_id_2: int = NO_PAIR_ID
 
 
-def label_from_click(channel: int, flags: int) -> ModeLabel:
-    """Reconstruct the detected mode tag from a serialized click.
+def _reject_reason(key: int) -> RejectReason:
+    """Why a rule-rejected pair with tag key 4 * tag_d1 + tag_d2 fails."""
+    differ = (key >> 2 ^ key) & TAG_BITS
+    if differ & FLAG_POL_V:
+        return RejectReason.CROSS_POLARIZATION
+    if not differ & FLAG_BRANCH_PLUS:
+        return RejectReason.SAME_DETUNING
+    return RejectReason.NONE  # a custom rule rejected a tag-compatible pair
 
-    The arm of origin follows from (port, polarization): port A sees arm 1
-    as V and arm 2 as H, port B the reverse.
-    """
-    pol = Pol.V if flags & FLAG_POL_V else Pol.H
-    detune = Detune.PLUS if flags & FLAG_BRANCH_PLUS else Detune.MINUS
-    if channel == Port.A.value:
-        path = Path.PATH1 if pol is Pol.V else Path.PATH2
-    else:
-        path = Path.PATH1 if pol is Pol.H else Path.PATH2
-    return ModeLabel(path, pol, detune)
+
+_REJECT_REASONS = tuple(_reject_reason(key) for key in range(16))
 
 
 def match_coincidences(
@@ -219,15 +234,14 @@ def match_coincidences(
     Every D1 click is paired with its nearest unconsumed D2 click, ties
     breaking toward the earlier D2.  Candidates beyond the window are
     reported as out-of-window; candidates inside it are checked against the
-    selection rule on the reconstructed mode tags.  Only accepted pairs
+    selection rule on the two clicks' flag tags.  Only accepted pairs
     consume their clicks, so each click joins at most one accepted
     coincidence.
     """
     if window_ps < 0:
         raise ValueError("window must be non-negative")
     rule = rule or SelectionRule.heterodyne()
-    if not stream.channel_sorted():
-        raise TimestampOrderError("matcher input must be time-ordered per channel")
+    stream.validate()
 
     arr = stream.array
     mask2 = arr["channel"] == 1
@@ -239,8 +253,9 @@ def match_coincidences(
     if n2 == 0 or len(t1) == 0:
         return []
 
-    f1 = d1["flags"].tolist()
-    f2 = d2["flags"].tolist()
+    accept = [rule.accepts(key >> 2, key & TAG_BITS) for key in range(16)]
+    key1 = (4 * (d1["flags"] & TAG_BITS)).tolist()
+    tag2 = (d2["flags"] & TAG_BITS).tolist()
     id1 = d1["pair_id"].tolist()
     id2 = d2["pair_id"].tolist()
     t1_list = t1.tolist()
@@ -273,19 +288,12 @@ def match_coincidences(
                 CoincidenceRecord(ti, t2_list[j], dt, False, RejectReason.OUT_OF_WINDOW, id1[i], id2[j])
             )
             continue
-        tag_a = label_from_click(0, f1[i])
-        tag_b = label_from_click(1, f2[j])
-        if rule.accepts(tag_a, tag_b):
+        key = key1[i] + tag2[j]
+        if accept[key]:
             used[j] = 1
             out.append(CoincidenceRecord(ti, t2_list[j], dt, True, RejectReason.NONE, id1[i], id2[j]))
         else:
-            if tag_a.pol is not tag_b.pol:
-                reason = RejectReason.CROSS_POLARIZATION
-            elif tag_a.detune is tag_b.detune:
-                reason = RejectReason.SAME_DETUNING
-            else:
-                reason = RejectReason.NONE  # custom rule rejected a tag-compatible pair
-            out.append(CoincidenceRecord(ti, t2_list[j], dt, False, reason, id1[i], id2[j]))
+            out.append(CoincidenceRecord(ti, t2_list[j], dt, False, _REJECT_REASONS[key], id1[i], id2[j]))
     return out
 
 
@@ -351,16 +359,13 @@ class _ClickBuffer:
         self.fl: list[np.ndarray] = []
         self.id: list[np.ndarray] = []
 
-    def add(self, t, channel, branch_plus, pol_v, pair_id):
+    def add(self, t, channel, tags, pair_id):
         n = len(t)
         if n == 0:
             return
         self.t.append(np.asarray(t, dtype=np.int64))
         self.ch.append(np.full(n, channel, dtype=np.uint8))
-        flags = np.zeros(n, dtype=np.uint8)
-        flags |= np.where(np.asarray(branch_plus, dtype=bool), FLAG_BRANCH_PLUS, 0).astype(np.uint8)
-        flags |= np.where(np.asarray(pol_v, dtype=bool), FLAG_POL_V, 0).astype(np.uint8)
-        self.fl.append(flags)
+        self.fl.append(np.asarray(tags, dtype=np.uint8))
         self.id.append(np.asarray(pair_id, dtype=np.uint32))
 
     def build(self) -> TagStream:
@@ -401,17 +406,18 @@ def synthesize_stream(
     s1 = batch.orientation_sign.astype(np.int8)  # branch sign of arm 1
     buf = _ClickBuffer()
 
-    def emit(idx, channel, branch_sign, pol_v):
+    # The order of the emit calls fixes the order of clicks that share a
+    # timestamp and a channel, and with it the stream's bytes.
+    def emit(idx, channel, route):
+        """Clicks at detector ``channel`` of the photons from arm ``route``."""
         t = t_emit[idx] + (delay_ps[idx] if channel == 1 else 0)
-        buf.add(t, channel, np.asarray(branch_sign) > 0, pol_v, batch.pair_id[idx])
+        buf.add(t, channel, mode_tag(route, channel, s1[idx]), batch.pair_id[idx])
 
     if eraser is None:
         for route, port in ((batch.route1, batch.port1), (batch.route2, batch.port2)):
-            branch = np.where(route == 1, s1, -s1)
-            pol_v = (route == 1) == (port == Port.A.value)
             for channel in (0, 1):
                 idx = np.flatnonzero(port == channel)
-                emit(idx, channel, branch[idx], pol_v[idx])
+                emit(idx, channel, route[idx])
         return buf.build()
 
     u_class = rng.random(n)
@@ -431,16 +437,15 @@ def synthesize_stream(
         Outcome.SAME_PORT_B,
     )
 
-    from .detection import _cross_path_distribution, _same_path_distribution
-
-    def classify(mask, dist):
+    def classify(mask, shared_path):
+        dist = outcome_probabilities(shared_path, eraser)
         probs = np.array([dist[o] for o in order])
         edges = np.cumsum(probs)[:-1]
         cls[mask] = np.searchsorted(edges, u_class[mask], side="right")
 
-    classify(cross, _cross_path_distribution(eraser))
-    classify(~cross & (batch.route1 == 1), _same_path_distribution(Path.PATH1, eraser))
-    classify(~cross & (batch.route1 == 2), _same_path_distribution(Path.PATH2, eraser))
+    classify(cross, None)
+    classify(~cross & (batch.route1 == 1), Path.PATH1)
+    classify(~cross & (batch.route1 == 2), Path.PATH2)
 
     def cls_idx(outcome, extra_mask=None):
         m = cls == order.index(outcome)
@@ -448,59 +453,44 @@ def synthesize_stream(
             m &= extra_mask
         return np.flatnonzero(m)
 
-    # accepted coincidences: route choice decides the shared polarization
+    # accepted coincidences: the route choice decides the shared polarization
     idx = cls_idx(Outcome.COINCIDENCE, cross)
     arm1_at_a = u_route[idx] < accepted_route_split(eraser)
-    emit(idx[arm1_at_a], 0, s1[idx[arm1_at_a]], np.ones(int(arm1_at_a.sum()), bool))
-    emit(idx[arm1_at_a], 1, -s1[idx[arm1_at_a]], np.ones(int(arm1_at_a.sum()), bool))
+    emit(idx[arm1_at_a], 0, 1)
+    emit(idx[arm1_at_a], 1, 2)
     rest = idx[~arm1_at_a]
-    emit(rest, 0, -s1[rest], np.zeros(len(rest), bool))
-    emit(rest, 1, s1[rest], np.zeros(len(rest), bool))
+    emit(rest, 0, 2)
+    emit(rest, 1, 1)
 
     # rejected coincidences (same-path pairs behind analyzers)
     for path_value in (1, 2):
         idx = cls_idx(Outcome.REJECTED_COINCIDENCE, ~cross & (batch.route1 == path_value))
-        branch = s1[idx] if path_value == 1 else -s1[idx]
-        pol_v_at_a = path_value == 1
-        emit(idx, 0, branch, np.full(len(idx), pol_v_at_a))
-        emit(idx, 1, branch, np.full(len(idx), not pol_v_at_a))
+        emit(idx, 0, path_value)
+        emit(idx, 1, path_value)
 
-    # lone cross-port clicks
-    for outcome, channel, port in ((Outcome.ONLY_D1, 0, Port.A), (Outcome.ONLY_D2, 1, Port.B)):
+    # lone clicks; of a cross-path pair only the photon at the clicking
+    # port is detected
+    for outcome, channel in ((Outcome.ONLY_D1, 0), (Outcome.ONLY_D2, 1)):
         idx = cls_idx(outcome, cross)
-        arm1_at_a = u_route[idx] < lone_click_route_split(eraser, port)
-        if channel == 0:
-            # port A clicked: arm-1 photon there is V(+s1), arm-2 photon is H(-s1)
-            emit(idx[arm1_at_a], 0, s1[idx[arm1_at_a]], np.ones(int(arm1_at_a.sum()), bool))
-            rest = idx[~arm1_at_a]
-            emit(rest, 0, -s1[rest], np.zeros(len(rest), bool))
-        else:
-            # port B clicked: arm-2 photon there is V(-s1), arm-1 photon is H(+s1)
-            emit(idx[arm1_at_a], 1, -s1[idx[arm1_at_a]], np.ones(int(arm1_at_a.sum()), bool))
-            rest = idx[~arm1_at_a]
-            emit(rest, 1, s1[rest], np.zeros(len(rest), bool))
+        arm1_at_a = u_route[idx] < lone_click_route_split(eraser, Port(channel))
+        emit(idx[arm1_at_a], channel, 1 if channel == 0 else 2)
+        emit(idx[~arm1_at_a], channel, 2 if channel == 0 else 1)
         for path_value in (1, 2):
-            sidx = cls_idx(outcome, ~cross & (batch.route1 == path_value))
-            branch = s1[sidx] if path_value == 1 else -s1[sidx]
-            pol_v = (path_value == 1) == (port is Port.A)
-            emit(sidx, channel, branch, np.full(len(sidx), pol_v))
+            emit(cls_idx(outcome, ~cross & (batch.route1 == path_value)), channel, path_value)
 
     # bunched outcomes: both photons on one detector, independent transmissions
-    xi, theta = eraser.xi, eraser.theta
-    for outcome, channel, port, angle in (
-        (Outcome.SAME_PORT_A, 0, Port.A, xi),
-        (Outcome.SAME_PORT_B, 1, Port.B, theta),
+    for outcome, channel, angle in (
+        (Outcome.SAME_PORT_A, 0, eraser.xi),
+        (Outcome.SAME_PORT_B, 1, eraser.theta),
     ):
         c2 = math.cos(angle) ** 2
         s2 = math.sin(angle) ** 2
         idx = cls_idx(outcome)
         for route, u_m in ((batch.route1, u_m1), (batch.route2, u_m2)):
-            pol_v = (route[idx] == 1) == (port is Port.A)
+            pol_v = mode_tag(route[idx], channel, s1[idx]) & FLAG_POL_V
             p_pass = np.where(pol_v, s2, c2)
             passed = idx[u_m[idx] < p_pass]
-            pol_v_passed = (route[passed] == 1) == (port is Port.A)
-            branch = np.where(route[passed] == 1, s1[passed], -s1[passed])
-            emit(passed, channel, branch, pol_v_passed)
+            emit(passed, channel, route[passed])
 
     return buf.build()
 

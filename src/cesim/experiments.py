@@ -13,7 +13,6 @@ significant digits; identical inputs produce byte-identical files.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path as FsPath
@@ -56,14 +55,11 @@ class ExperimentConfig:
     n_pairs: int = 200_000
     seed: int = 20230730
     mode: RunMode = RunMode.ANALYTIC
-    threads: int = 1
     raw_values: bool = False
 
     def __post_init__(self):
         if self.n_pairs <= 0:
             raise ValueError("n_pairs must be positive")
-        if self.threads < 1:
-            raise ValueError("threads must be at least 1")
 
     @property
     def effective_grid(self) -> DetuningGrid:
@@ -136,24 +132,16 @@ def analytic_r(
     return envelope * value / peak
 
 
-def _map_jobs(fn, items: Sequence, threads: int) -> list:
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def mc_estimates(
     erasers: Sequence[EraserSetting],
     n_pairs: int,
     seed: int,
-    threads: int = 1,
 ) -> list[CorrelationEstimate]:
     """Stochastic normalized rates for a list of analyzer settings.
 
     Counts are accumulated per setting and normalized by a dedicated
-    aligned-analyzer reference run; every setting has its own derived seed,
-    so results do not depend on the worker count.
+    aligned-analyzer reference run; every setting draws from its own
+    seed derived from ``seed``.
     """
     seeds = np.random.SeedSequence(seed).spawn(len(erasers) + 1)
     _, ref = sample_coincidence_counts(n_pairs, EraserSetting(0.0, 0.0), np.random.default_rng(seeds[0]))
@@ -161,15 +149,14 @@ def mc_estimates(
         raise RuntimeError("reference run produced no accepted coincidences")
     v_ref = ref * (1.0 - ref / n_pairs)
 
-    def one(job):
-        eraser, seq = job
+    def one(eraser, seq):
         _, acc = sample_coincidence_counts(n_pairs, eraser, np.random.default_rng(seq))
         r = acc / ref
         v_acc = acc * (1.0 - acc / n_pairs)
         err = math.sqrt(v_acc / ref**2 + (acc**2) * v_ref / ref**4)
         return CorrelationEstimate(r, n_pairs, acc, err)
 
-    return _map_jobs(one, list(zip(erasers, seeds[1:])), threads)
+    return [one(eraser, seq) for eraser, seq in zip(erasers, seeds[1:])]
 
 
 def _discrepancy_sigma(analytic: float, estimate: CorrelationEstimate) -> float:
@@ -234,7 +221,7 @@ def run_fig2a(cfg: ExperimentConfig, angles_deg: Iterable[tuple[float, float]] |
             analytic_col.append(analytic_r(setting_for(float(df), cfg.tau), eraser, raw=cfg.raw_values))
     estimates = None
     if cfg.mode in (RunMode.MC, RunMode.BOTH):
-        estimates = mc_estimates(erasers, cfg.n_pairs, cfg.seed, cfg.threads)
+        estimates = mc_estimates(erasers, cfg.n_pairs, cfg.seed)
     return _assemble(
         ("xi_deg", "theta_deg", "delta_f_hz"), base_rows, analytic_col, estimates, cfg.mode, "r_si"
     )
@@ -266,7 +253,7 @@ def run_fig2b(cfg: ExperimentConfig, theta_deg: float = 0.0,
     if cfg.mode in (RunMode.MC, RunMode.BOTH):
         # stochastic path: accumulate counts over detunings drawn per pair,
         # then normalize by the aligned-analyzer reference counts
-        estimates = mc_estimates(erasers, cfg.n_pairs, cfg.seed, cfg.threads)
+        estimates = mc_estimates(erasers, cfg.n_pairs, cfg.seed)
     return _assemble(
         ("xi_deg", "theta_deg", "xi_plus_theta_deg"), base_rows, analytic_col, estimates, cfg.mode, "r_si"
     )

@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .interferometer import Orientation
-from .optics import Path, Pol, Port
+from .optics import Path, Port
 
 
 def poisson_pair_probability(mu: float) -> float:
@@ -210,11 +210,6 @@ class PairBatch:
     def __iter__(self):
         for i in range(len(self)):
             yield self.event(i)
-
-
-def pol_at(path: Path, port: Port) -> Pol:
-    """Polarization a photon from ``path`` carries into ``port``'s analyzer."""
-    return Pol.V if (path is Path.PATH1) == (port is Port.A) else Pol.H
 
 
 def _draw_fields(rng: np.random.Generator, cfg: SourceConfig, t_emit_s: np.ndarray) -> PairBatch:

@@ -73,7 +73,58 @@ def heterodyne_sum(xi: float, theta: float, sigma: int, phi: float, accept) -> c
 
 
 def default_accept(tag_a, tag_b) -> bool:
+    """The heterodyne predicate on full (arm, polarization, branch) labels:
+    same polarization, opposite branch, opposite arm."""
     return tag_a[1] == tag_b[1] and tag_a[2] != tag_b[2] and tag_a[0] != tag_b[0]
+
+
+# The three named selection rules as predicates on the D1 and D2 labels.
+RULE_PREDICATES = {
+    "heterodyne": default_accept,
+    "inverted": lambda tag_a, tag_b: not default_accept(tag_a, tag_b),
+    "cross_port_only": lambda tag_a, tag_b: True,
+}
+
+
+def reject_reason(tag_a, tag_b) -> str:
+    """Reason a rule gives for rejecting an in-window D1/D2 candidate."""
+    if tag_a[1] != tag_b[1]:
+        return "cross-polarization"
+    if tag_a[2] == tag_b[2]:
+        return "same-detuning"
+    return "none"
+
+
+def label_from_click(channel: int, flags: int):
+    """Full (arm, polarization, branch sign) label of a serialized click.
+
+    Flags bit 0 is the positive branch, bit 1 is V. The arm follows from
+    (port, polarization): port A (channel 0) sees arm 1 as V and arm 2 as
+    H, port B the reverse.
+    """
+    pol = "V" if flags & 0b10 else "H"
+    sign = 1 if flags & 0b01 else -1
+    if channel == 0:
+        arm = 1 if pol == "V" else 2
+    else:
+        arm = 1 if pol == "H" else 2
+    return arm, pol, sign
+
+
+def photon_label(arm: int, port: int, orientation_sign: int):
+    """Label of the photon from ``arm`` exiting ``port`` (0 = A, 1 = B) of
+    a pair whose arm 1 carries the branch ``orientation_sign``."""
+    pol = "V" if (arm == 1) == (port == 0) else "H"
+    return arm, pol, orientation_sign if arm == 1 else -orientation_sign
+
+
+def pair_accepted(route1, route2, port1, port2, orientation_sign, accept) -> bool:
+    """Per-pair selection: a cross-port pair whose D1 and D2 labels pass."""
+    if port1 == port2:
+        return False
+    label1 = photon_label(route1, port1, orientation_sign)
+    label2 = photon_label(route2, port2, orientation_sign)
+    return accept(label1, label2) if port1 == 0 else accept(label2, label1)
 
 
 # Final detection modes behind the analyzers: (port, axis) with axis "pass"

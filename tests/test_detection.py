@@ -7,6 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cesim.detection import (
+    FLAG_BRANCH_PLUS,
+    FLAG_POL_V,
     CoincidenceSetting,
     CorrelationEstimate,
     Outcome,
@@ -18,16 +20,27 @@ from cesim.detection import (
     selection_efficiency,
     visibility,
 )
+from cesim.eventstream import RejectReason, TagStream, TimeTagRecord, match_coincidences
 from cesim.interferometer import EraserSetting, Orientation, PairSetting, eraser_amplitudes
 from cesim.optics import Path, Port
 from cesim.source import PairEvent, SourceConfig, sample_n_pairs
 
 from _oracles import (
+    RULE_PREDICATES,
     cross_pair_classes,
     default_accept,
     heterodyne_sum,
+    label_from_click,
+    pair_accepted,
+    reject_reason,
     same_pair_classes,
 )
+
+V_PLUS = FLAG_POL_V | FLAG_BRANCH_PLUS
+V_MINUS = FLAG_POL_V
+H_PLUS = FLAG_BRANCH_PLUS
+H_MINUS = 0
+TAG_PAIRS = [(tag_d1, tag_d2) for tag_d1 in range(4) for tag_d2 in range(4)]
 
 
 def make_event(route1=Path.PATH1, route2=Path.PATH2, port1=Port.A, port2=Port.B):
@@ -36,18 +49,34 @@ def make_event(route1=Path.PATH1, route2=Path.PATH2, port1=Port.A, port2=Port.B)
 
 class TestSelectionRule:
     def test_heterodyne_accepts_matched_pairs(self):
-        from cesim.optics import Detune, ModeLabel, Pol
-
         rule = SelectionRule.heterodyne()
-        v1 = ModeLabel(Path.PATH1, Pol.V, Detune.PLUS)
-        v2 = ModeLabel(Path.PATH2, Pol.V, Detune.MINUS)
-        h1 = ModeLabel(Path.PATH1, Pol.H, Detune.PLUS)
-        h2 = ModeLabel(Path.PATH2, Pol.H, Detune.MINUS)
-        assert rule.accepts(v1, v2)
-        assert rule.accepts(h2, h1)
-        assert not rule.accepts(v1, h1)  # same arm, same branch
-        assert not rule.accepts(h2, v2)
-        assert not rule.accepts(v1, ModeLabel(Path.PATH2, Pol.V, Detune.PLUS))  # same branch
+        assert rule.accepts(V_PLUS, V_MINUS)  # arm 1 at D1, arm 2 at D2
+        assert rule.accepts(H_MINUS, H_PLUS)  # arm 2 at D1, arm 1 at D2
+        assert not rule.accepts(V_PLUS, H_PLUS)  # same arm, same branch
+        assert not rule.accepts(H_MINUS, V_MINUS)
+        assert not rule.accepts(V_PLUS, V_PLUS)  # same branch
+
+    @pytest.mark.parametrize("name", sorted(RULE_PREDICATES))
+    def test_accept_table_matches_label_predicate(self, name):
+        rule = getattr(SelectionRule, name)()
+        for tag_d1, tag_d2 in TAG_PAIRS:
+            expected = RULE_PREDICATES[name](label_from_click(0, tag_d1), label_from_click(1, tag_d2))
+            assert rule.accepts(tag_d1, tag_d2) is expected, (tag_d1, tag_d2)
+
+    @pytest.mark.parametrize("name", sorted(RULE_PREDICATES))
+    def test_reject_reasons_match_label_oracle(self, name):
+        rule = getattr(SelectionRule, name)()
+        records = [TimeTagRecord(1000 * k, 0, tag_d1, k) for k, (tag_d1, _) in enumerate(TAG_PAIRS)]
+        records += [TimeTagRecord(1000 * k, 1, tag_d2, k) for k, (_, tag_d2) in enumerate(TAG_PAIRS)]
+        records.sort(key=lambda r: (r.t_ps, r.channel))
+        out = match_coincidences(TagStream.from_records(records), 10, rule)
+        assert len(out) == 16
+        for rec, (tag_d1, tag_d2) in zip(out, TAG_PAIRS):
+            label_d1, label_d2 = label_from_click(0, tag_d1), label_from_click(1, tag_d2)
+            accepted = RULE_PREDICATES[name](label_d1, label_d2)
+            assert rec.accepted is accepted
+            expected = "none" if accepted else reject_reason(label_d1, label_d2)
+            assert rec.reject_reason is RejectReason(expected), (tag_d1, tag_d2)
 
 
 class TestHeterodyneProduct:
@@ -255,6 +284,20 @@ class TestSelectionEfficiency:
     def test_event_list_matches_batch(self):
         batch = sample_n_pairs(SourceConfig(seed=23), 2_000)
         assert selection_efficiency(list(batch)) == selection_efficiency(batch)
+
+    @pytest.mark.parametrize("name", sorted(RULE_PREDICATES))
+    def test_every_rule_matches_per_pair_oracle(self, name):
+        batch = sample_n_pairs(SourceConfig(seed=24), 4_000)
+        rule = getattr(SelectionRule, name)()
+        accepted = sum(
+            pair_accepted(
+                int(batch.route1[i]), int(batch.route2[i]), int(batch.port1[i]), int(batch.port2[i]),
+                int(batch.orientation_sign[i]), RULE_PREDICATES[name],
+            )
+            for i in range(len(batch))
+        )
+        assert selection_efficiency(batch, rule) == accepted / len(batch)
+        assert selection_efficiency(list(batch), rule) == accepted / len(batch)
 
     def test_event_level_sampler_matches_law(self):
         rng = np.random.default_rng(31)

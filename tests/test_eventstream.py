@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cesim.detection import CoincidenceSetting, selection_efficiency
+from cesim.detection import CoincidenceSetting, mode_tag, selection_efficiency
 from cesim.eventstream import (
     HEADER_SIZE,
     MAGIC,
@@ -17,21 +17,23 @@ from cesim.eventstream import (
     TagStream,
     TimeTagRecord,
     TimestampOrderError,
+    TimestampRangeError,
     TruncatedRecordError,
+    UnknownChannelError,
     VersionMismatchError,
     decode_stream,
     encode_stream,
     fit_decay_ps,
     histogram_tau_si,
-    label_from_click,
     match_coincidences,
     synthesize_stream,
     write_coincidences_csv,
     write_histogram_csv,
 )
 from cesim.interferometer import EraserSetting
-from cesim.optics import Detune, Path, Pol
 from cesim.source import SourceConfig, sample_n_pairs
+
+from _oracles import label_from_click, photon_label
 
 V_PLUS = 0b11   # V polarization, positive branch
 V_MINUS = 0b10
@@ -89,6 +91,30 @@ class TestWireFormat:
         with pytest.raises(TimestampOrderError):
             encode_stream([TimeTagRecord(100, 0, 0, 0), TimeTagRecord(50, 0, 0, 1)])
 
+    def test_unknown_channel_rejected(self):
+        # a channel-7 click used to decode and match as a D1 click
+        records = [TimeTagRecord(1000, 7, V_MINUS, 1), TimeTagRecord(1400, 1, V_PLUS, 1)]
+        with pytest.raises(UnknownChannelError):
+            encode_stream(records)
+        raw = bytearray(encode_stream([TimeTagRecord(1000, 0, V_MINUS, 1), TimeTagRecord(1400, 1, V_PLUS, 1)]))
+        raw[HEADER_SIZE + 8] = 7
+        with pytest.raises(UnknownChannelError):
+            decode_stream(bytes(raw))
+        with pytest.raises(UnknownChannelError):
+            match_coincidences(make_stream([(1000, 7, V_MINUS, 1), (1400, 1, V_PLUS, 1)]), 1000)
+
+    def test_timestamp_at_2_63_rejected(self):
+        # a 20 ps pair straddling 2**63 used to wrap to a negative t2_ps
+        records = [TimeTagRecord(2**63 - 10, 0, V_MINUS, 1), TimeTagRecord(2**63 + 10, 1, V_PLUS, 1)]
+        with pytest.raises(TimestampRangeError):
+            encode_stream(records)
+        raw = bytearray(encode_stream([TimeTagRecord(2**63 - 10, 0, V_MINUS, 1)]))
+        raw[HEADER_SIZE : HEADER_SIZE + 8] = (2**63).to_bytes(8, "little")
+        with pytest.raises(TimestampRangeError):
+            decode_stream(bytes(raw))
+        last = encode_stream([TimeTagRecord(2**63 - 1, 0, 0, 0)])  # the largest valid timestamp
+        assert decode_stream(last).to_records() == [TimeTagRecord(2**63 - 1, 0, 0, 0)]
+
     def test_roundtrip_1000_random_streams(self, rng):
         for _ in range(1000):
             n = int(rng.integers(0, 40))
@@ -138,12 +164,19 @@ class TestWireFormat:
 
 class TestLabelReconstruction:
     def test_all_combinations(self):
-        assert label_from_click(0, V_PLUS).path is Path.PATH1
-        assert label_from_click(0, H_MINUS).path is Path.PATH2
-        assert label_from_click(1, H_PLUS).path is Path.PATH1
-        assert label_from_click(1, V_MINUS).path is Path.PATH2
-        assert label_from_click(0, V_PLUS).detune is Detune.PLUS
-        assert label_from_click(0, V_MINUS).pol is Pol.V
+        # the oracle's truth table: (port, polarization) names the arm
+        assert label_from_click(0, V_PLUS) == (1, "V", 1)
+        assert label_from_click(0, H_MINUS) == (2, "H", -1)
+        assert label_from_click(1, H_PLUS) == (1, "H", 1)
+        assert label_from_click(1, V_MINUS) == (2, "V", -1)
+        # the tag a click carries decodes back to its photon's full label
+        for route in (1, 2):
+            for channel in (0, 1):
+                for sign in (-1, 1):
+                    flags = mode_tag(route, channel, sign)
+                    assert label_from_click(channel, flags) == photon_label(route, channel, sign)
+                    as_array = mode_tag(np.array([route]), np.array([channel]), np.array([sign], np.int8))
+                    assert as_array.tolist() == [flags]
 
 
 class TestMatcher:
