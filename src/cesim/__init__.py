@@ -7,18 +7,14 @@ same observables.
 """
 
 from .optics import (
-    Detune,
-    FieldState,
-    ModeLabel,
     Path,
-    Pol,
     Port,
     aom_tag,
     bs_transform,
+    field,
     hwp_22_5,
     mirror,
     pbs_route,
-    polarizer_project,
 )
 from .interferometer import (
     EraserSetting,

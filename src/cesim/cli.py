@@ -16,6 +16,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path as FsPath
+from typing import Callable
 
 import numpy as np
 
@@ -27,73 +28,67 @@ from .source import DetuningGrid, GridMode, SourceConfig, sample_n_pairs
 
 ENV_SEED = "CESIM_SEED"
 
-_DEFAULTS = {
-    "xi-deg": None,
-    "theta-deg": None,
-    "tau-s": 3.0e-6,
-    "tau-si-s": 0.0,
-    "delta-hz": 1.0e6,
-    "grid": None,
-    "pairs": 200_000,
-    "seed": 20230730,
-    "mode": "analytic",
-    "window-ps": 1000,
-    "out": None,
-    "format": "csv",
-    "mu": 0.1,
-    "rate": 1.0e6,
-    "jitter": False,
-    "bin-ps": 50_000,
-    "range-ps": 8_000_000,
-    "samples": 100_000,
-    "in": None,
-    "hist-out": None,
-    "a-deg": 0.0,
-    "a2-deg": 45.0,
-    "b-deg": -22.5,
-    "b2-deg": -67.5,
-    "raw": False,
+SUBCOMMANDS = {
+    "local": "local intensities against the arm delay",
+    "correlation": "print the normalized joint correlation for one setting",
+    "fig2a": "per-detuning zero-delay correlation table",
+    "fig2b": "correlation fringe against the summed analyzer angle",
+    "dephasing": "ensemble-averaged intensities against the arm delay",
+    "chsh": "CHSH combination of the joint fringe",
+    "events-generate": "synthesize a binary time-tag stream",
+    "events-match": "match coincidences in a binary time-tag stream",
+    "selftest": "run the built-in invariant battery",
 }
 
-_CASTS = {
-    "xi-deg": float,
-    "theta-deg": float,
-    "tau-s": float,
-    "tau-si-s": float,
-    "delta-hz": float,
-    "grid": str,
-    "pairs": int,
-    "seed": int,
-    "mode": str,
-    "window-ps": int,
-    "out": str,
-    "format": str,
-    "mu": float,
-    "rate": float,
-    "jitter": lambda s: str(s).strip().lower() in ("1", "true", "yes", "on"),
-    "bin-ps": int,
-    "range-ps": int,
-    "samples": int,
-    "in": str,
-    "hist-out": str,
-    "a-deg": float,
-    "a2-deg": float,
-    "b-deg": float,
-    "b2-deg": float,
-    "raw": lambda s: str(s).strip().lower() in ("1", "true", "yes", "on"),
-}
 
-SUBCOMMANDS = (
-    "local",
-    "correlation",
-    "fig2a",
-    "fig2b",
-    "dephasing",
-    "chsh",
-    "events-generate",
-    "events-match",
-    "selftest",
+def _truthy(text: str) -> bool:
+    return str(text).strip().lower() in ("1", "true", "yes", "on")
+
+
+@dataclass(frozen=True, slots=True)
+class Option:
+    """One long option.  ``cast`` reads its config-file value (a ``_truthy``
+    option is a bare flag on the command line); ``subcommands`` lists the
+    subcommands that take the flag, all of them when empty."""
+
+    name: str
+    cast: Callable[[str], object]
+    default: object
+    help: str | None = None
+    subcommands: tuple[str, ...] = ()
+    choices: tuple[str, ...] | None = None
+    metavar: str | None = None
+
+
+OPTIONS = (
+    Option("xi-deg", float, None, "port A analyzer angle in degrees"),
+    Option("theta-deg", float, None, "port B analyzer angle in degrees"),
+    Option("tau-s", float, 3.0e-6, "arm delay in seconds"),
+    Option("tau-si-s", float, 0.0, "electronic inter-detector delay in seconds"),
+    Option("delta-hz", float, 1.0e6, "modulation bandwidth in Hz (default 1e6)"),
+    Option("grid", str, None, "detuning grid in Hz", metavar="LO:HI:STEP"),
+    Option("pairs", int, 200_000, "generated pairs per stochastic point"),
+    Option("seed", int, 20230730, "random seed"),
+    Option("mode", str, "analytic", choices=("analytic", "mc", "both")),
+    Option("window-ps", int, 1000, "coincidence window in ps"),
+    Option("out", str, None, "output file path"),
+    Option("format", str, "csv", choices=("csv",)),
+    Option("raw", _truthy, False, "report raw squared amplitudes instead of peak-normalized values"),
+    Option("samples", int, 100_000, "detuning samples for the average", ("dephasing",)),
+    Option("a-deg", float, 0.0, subcommands=("chsh",)),
+    Option("a2-deg", float, 45.0, subcommands=("chsh",)),
+    Option("b-deg", float, -22.5, subcommands=("chsh",)),
+    Option("b2-deg", float, -67.5, subcommands=("chsh",)),
+    Option("mu", float, 0.1, "mean photon number per window", ("events-generate",)),
+    Option("rate", float, 1.0e6, "emission attempts per second", ("events-generate",)),
+    Option("jitter", _truthy, False, "exponential inter-detector delay of scale tau_c/2",
+           ("events-generate",)),
+    Option("in", str, None, "input stream path", ("events-match",)),
+    Option("hist-out", str, None, "write the delay histogram CSV here", ("events-match",)),
+    Option("bin-ps", int, 50_000, subcommands=("events-match",)),
+    Option("range-ps", int, 8_000_000, subcommands=("events-match",)),
 )
+_BY_NAME = {opt.name: opt for opt in OPTIONS}
 
 
 class CliError(Exception):
@@ -106,21 +101,12 @@ class CliInvocation:
     options: dict
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--xi-deg", type=float, default=None, help="port A analyzer angle in degrees")
-    parser.add_argument("--theta-deg", type=float, default=None, help="port B analyzer angle in degrees")
-    parser.add_argument("--tau-s", type=float, default=None, help="arm delay in seconds")
-    parser.add_argument("--tau-si-s", type=float, default=None, help="electronic inter-detector delay in seconds")
-    parser.add_argument("--delta-hz", type=float, default=None, help="modulation bandwidth in Hz (default 1e6)")
-    parser.add_argument("--grid", default=None, metavar="LO:HI:STEP", help="detuning grid in Hz")
-    parser.add_argument("--pairs", type=int, default=None, help="generated pairs per stochastic point")
-    parser.add_argument("--seed", type=int, default=None, help="random seed")
-    parser.add_argument("--mode", choices=["analytic", "mc", "both"], default=None)
-    parser.add_argument("--window-ps", type=int, default=None, help="coincidence window in ps")
-    parser.add_argument("--out", default=None, help="output file path")
-    parser.add_argument("--format", choices=["csv"], default=None)
-    parser.add_argument("--raw", action="store_const", const=True, default=None,
-                        help="report raw squared amplitudes instead of peak-normalized values")
+def _add_flag(parser: argparse.ArgumentParser, opt: Option) -> None:
+    if opt.cast is _truthy:
+        parser.add_argument(f"--{opt.name}", action="store_const", const=True, default=None, help=opt.help)
+    else:
+        parser.add_argument(f"--{opt.name}", type=opt.cast, default=None, help=opt.help,
+                            choices=opt.choices, metavar=opt.metavar)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -133,37 +119,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", default=None, help="key=value option file")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    for name, text in (
-        ("local", "local intensities against the arm delay"),
-        ("correlation", "print the normalized joint correlation for one setting"),
-        ("fig2a", "per-detuning zero-delay correlation table"),
-        ("fig2b", "correlation fringe against the summed analyzer angle"),
-        ("dephasing", "ensemble-averaged intensities against the arm delay"),
-        ("chsh", "CHSH combination of the joint fringe"),
-        ("events-generate", "synthesize a binary time-tag stream"),
-        ("events-match", "match coincidences in a binary time-tag stream"),
-        ("selftest", "run the built-in invariant battery"),
-    ):
+    for name, text in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=text)
-        _add_common(p)
-        if name == "dephasing":
-            p.add_argument("--samples", type=int, default=None, help="detuning samples for the average")
-        if name == "chsh":
-            p.add_argument("--a-deg", type=float, default=None)
-            p.add_argument("--a2-deg", type=float, default=None)
-            p.add_argument("--b-deg", type=float, default=None)
-            p.add_argument("--b2-deg", type=float, default=None)
-        if name == "events-generate":
-            p.add_argument("--mu", type=float, default=None, help="mean photon number per window")
-            p.add_argument("--rate", type=float, default=None, help="emission attempts per second")
-            p.add_argument("--jitter", action="store_const", const=True, default=None,
-                           help="exponential inter-detector delay of scale tau_c/2")
-        if name == "events-match":
-            p.add_argument("--in", default=None, help="input stream path")
-            p.add_argument("--hist-out", default=None, help="write the delay histogram CSV here")
-            p.add_argument("--bin-ps", type=int, default=None)
-            p.add_argument("--range-ps", type=int, default=None)
+        for opt in OPTIONS:
+            if not opt.subcommands or name in opt.subcommands:
+                _add_flag(p, opt)
     return parser
 
 
@@ -177,10 +137,10 @@ def _read_config(path: str) -> dict:
         if "=" not in line:
             raise CliError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _DEFAULTS:
+        if key not in _BY_NAME:
             raise CliError(f"{path}:{lineno}: unknown option '{key}'")
         try:
-            entries[key] = _CASTS[key](value)
+            entries[key] = _BY_NAME[key].cast(value)
         except ValueError as exc:
             raise CliError(f"{path}:{lineno}: bad value for '{key}': {value}") from exc
     return entries
@@ -203,7 +163,7 @@ def parse_args(argv=None) -> CliInvocation:
     subcommand = cli_values.pop("subcommand")
     config_path = cli_values.pop("config", None)
 
-    options = dict(_DEFAULTS)
+    options = {opt.name: opt.default for opt in OPTIONS}
     env_seed = os.environ.get(ENV_SEED)
     if env_seed is not None:
         try:

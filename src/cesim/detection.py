@@ -24,17 +24,15 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from .interferometer import EraserSetting, PairSetting
-from .optics import Detune, FieldState, ModeLabel, Path, Pol, Port
+from .optics import FLAG_BRANCH_PLUS, FLAG_POL_V, N_SLOTS, TAG_BITS, Field, Path, Port
 from .source import PairBatch, PairEvent
 
 
 # A detected photon's mode tag is the low two bits of its CESIMTT1 flags
-# byte.  The arm of origin is not part of it: port A sees the arm-1 photon
-# as V and the arm-2 photon as H, port B the reverse, so on a cross-port
-# pair (port, polarization) already names the arm.
-FLAG_BRANCH_PLUS = 0x01  # positive frequency branch
-FLAG_POL_V = 0x02  # V polarization at the analyzer input
-TAG_BITS = FLAG_BRANCH_PLUS | FLAG_POL_V
+# byte (the bits are defined with the field slots in ``optics``).  The arm
+# of origin is not part of it: port A sees the arm-1 photon as V and the
+# arm-2 photon as H, port B the reverse, so on a cross-port pair (port,
+# polarization) already names the arm.
 
 
 def mode_tag(route, port, sign):
@@ -141,28 +139,24 @@ class CorrelationEstimate:
             raise ValueError("normalized rate is inconsistent with the range [0, 1]")
 
 
-def _label_tag(label: ModeLabel) -> int:
-    return (label.detune is Detune.PLUS) * FLAG_BRANCH_PLUS + (label.pol is Pol.V) * FLAG_POL_V
-
-
-def heterodyne_product(e_s: FieldState, e_i: FieldState, rule: SelectionRule | None = None) -> complex:
+def heterodyne_product(e_s: Field, e_i: Field, rule: SelectionRule | None = None) -> complex:
     """Coherent sum of the rule-accepted terms of the two-port product.
 
-    ``e_s`` is the port A (D1) field and ``e_i`` the port B (D2) field, so
-    each term's tag is its (polarization, branch).  For the network fields
-    this equals (i/4) e^{i s phi} cos(xi + theta): both surviving terms
-    carry the same detuning phase, so the modulus is detuning-free.
+    ``e_s`` is the port A (D1) field and ``e_i`` the port B (D2) field; the
+    low two bits of a slot index are that term's tag.  For the network
+    fields this equals (i/4) e^{i s phi} cos(xi + theta): both surviving
+    terms carry the same detuning phase, so the modulus is detuning-free.
     """
-    if not isinstance(e_s, FieldState) or not isinstance(e_i, FieldState):
-        raise TypeError("heterodyne_product needs FieldState term lists carrying mode tags")
+    if not all(isinstance(f, tuple) and len(f) == N_SLOTS for f in (e_s, e_i)):
+        raise TypeError("heterodyne_product needs two 8-slot fields")
     rule = rule or _HETERODYNE
-    terms_b = [(_label_tag(label), amp) for label, amp in e_i.terms()]
+    terms_b = [(k & TAG_BITS, amp) for k, amp in enumerate(e_i) if amp]
     total = 0j
-    for label_a, amp_a in e_s.terms():
-        tag_a = _label_tag(label_a)
-        for tag_b, amp_b in terms_b:
-            if rule.accepts(tag_a, tag_b):
-                total += amp_a * amp_b
+    for k, amp_a in enumerate(e_s):
+        if amp_a:
+            for tag_b, amp_b in terms_b:
+                if rule.accepts(k & TAG_BITS, tag_b):
+                    total += amp_a * amp_b
     return total
 
 

@@ -31,6 +31,9 @@ from .interferometer import (
     Orientation,
     PairSetting,
     eraser_amplitudes,
+    eraser_intensity,
+    local_intensity,
+    output_fields,
     pair_phase,
     port_intensities,
 )
@@ -280,8 +283,6 @@ def run_local(
     eraser = eraser if eraser is not None else EraserSetting(math.pi / 4, math.pi / 4)
     df = cfg.delta_big if delta_f is None else delta_f
     tau_values = np.asarray(taus if taus is not None else default_local_taus(cfg.delta_big))
-
-    from .interferometer import eraser_intensity, local_intensity, output_fields
 
     base_rows = []
     quartet = []

@@ -21,17 +21,16 @@ from enum import Enum
 import numpy as np
 
 from .optics import (
-    Detune,
-    FieldState,
-    ModeLabel,
-    Path,
-    Pol,
-    analyzer_projection,
+    FLAG_BRANCH_PLUS,
+    FLAG_POL_V,
+    Field,
     aom_tag,
     bs_transform,
+    field,
     hwp_22_5,
     mirror,
     pbs_route,
+    power,
 )
 
 # The two arms are detuned by +delta_f and -delta_f, so their interference
@@ -54,10 +53,6 @@ class Orientation(Enum):
     @property
     def sign(self) -> int:
         return self.value
-
-    def arm_detune(self, path: Path) -> Detune:
-        positive = (self.sign > 0) == (path is Path.PATH1)
-        return Detune.PLUS if positive else Detune.MINUS
 
     def flipped(self) -> "Orientation":
         return Orientation.MINUS_PLUS if self is Orientation.PLUS_MINUS else Orientation.PLUS_MINUS
@@ -95,81 +90,73 @@ class EraserSetting:
             raise ValueError("analyzer angles must be finite")
 
 
-def _split_into_arms(state: FieldState) -> FieldState:
+def _split_into_arms(fld: Field) -> Field:
     """Balanced splitter across the arm pair, per polarization and branch."""
-    keys = sorted(
-        {(l.pol, l.detune) for l in state.labels()},
-        key=lambda k: (k[0].value, k[1].value),
-    )
-    out: list[tuple[ModeLabel, complex]] = []
-    for pol, detune in keys:
-        in_a = state.amplitude(ModeLabel(Path.PATH1, pol, detune))
-        in_b = state.amplitude(ModeLabel(Path.PATH2, pol, detune))
-        out_a, out_b = bs_transform(in_a, in_b)
-        out.append((ModeLabel(Path.PATH1, pol, detune), out_a))
-        out.append((ModeLabel(Path.PATH2, pol, detune), out_b))
-    return FieldState(out)
+    out = list(fld)
+    for tag in range(4):
+        out[tag], out[4 + tag] = bs_transform(fld[tag], fld[4 + tag])
+    return tuple(out)
 
 
-def _anchor_phase(field: FieldState) -> FieldState:
+def _anchor_phase(fld: Field) -> Field:
     """Rotate the global phase so the arm-2 term is real and positive."""
-    for label, amp in field.terms():
-        if label.path is Path.PATH2 and amp != 0:
-            return field.scaled((amp / abs(amp)).conjugate())
-    return field
+    for amp in fld[4:]:
+        if amp != 0:
+            factor = (amp / abs(amp)).conjugate()
+            return tuple(a * factor for a in fld)
+    return fld
 
 
-def output_fields(setting: PairSetting) -> tuple[FieldState, FieldState]:
+_CARRIER = field({FLAG_BRANCH_PLUS: 1.0})  # arm 1, H, positive branch
+
+
+def output_fields(setting: PairSetting) -> tuple[Field, Field]:
     """Propagate a unit carrier through the network.
 
     Returns the port A and port B fields. Port A holds the arm-1 V term
     (amplitude -e^{i s phi}/2) and the arm-2 H term (+1/2); port B holds
     the arm-1 H term (+e^{i s phi}/2) and the arm-2 V term (+1/2), with
-    s the orientation sign. Both ports carry power 1/2.
+    s the orientation sign. The arm carrying the positive branch has tag
+    bit 0 set. Both ports carry power 1/2.
     """
-    carrier = FieldState([(ModeLabel(Path.PATH1, Pol.H, Detune.PLUS), 1.0 + 0j)])
-    diagonal = hwp_22_5(carrier)
-    split = _split_into_arms(diagonal)
-    sign1 = setting.orientation.arm_detune(Path.PATH1)
-    sign2 = setting.orientation.arm_detune(Path.PATH2)
-    tagged = aom_tag(split, Path.PATH1, sign1, sign1.sign * setting.phase)
-    tagged = aom_tag(tagged, Path.PATH2, sign2, 0.0)
-    folded = mirror(tagged, Path.PATH1)  # arm 1 crosses one extra fold
+    sign = setting.orientation.sign
+    split = _split_into_arms(hwp_22_5(_CARRIER))
+    tagged = aom_tag(split, 0, sign > 0, sign * setting.phase)
+    tagged = aom_tag(tagged, 1, sign < 0, 0.0)
+    folded = mirror(tagged, 0)  # arm 1 crosses one extra fold
     port_a, port_b = pbs_route(folded)
     return _anchor_phase(port_a), _anchor_phase(port_b)
 
 
-def local_intensity(field: FieldState) -> float:
+def local_intensity(fld: Field) -> float:
     """Detected intensity without an analyzer.
 
-    Distinct labels are orthogonal modes, so this is the plain power sum;
+    Distinct slots are orthogonal modes, so this is the plain power sum;
     for either network output it is 1/2 regardless of delay, detuning and
     orientation.
     """
-    return field.power()
+    return power(fld)
 
 
-def eraser_amplitudes(setting: PairSetting, eraser: EraserSetting) -> tuple[FieldState, FieldState]:
+def eraser_amplitudes(setting: PairSetting, eraser: EraserSetting) -> tuple[Field, Field]:
     """Common-basis amplitudes behind the two analyzers.
 
-    Each term keeps its (path, polarization-origin, branch) tag and its
+    Each slot keeps its (arm, polarization-origin, branch) index and its
     amplitude is scaled by the projection of its original polarization onto
     the analyzer axis. The port B field carries a conventional global i.
     """
     port_a, port_b = output_fields(setting)
-    e_s = FieldState(
-        [(label, amp * analyzer_projection(label.pol, eraser.xi)) for label, amp in port_a.terms()]
-    )
-    e_i = FieldState(
-        [(label, 1j * amp * analyzer_projection(label.pol, eraser.theta)) for label, amp in port_b.terms()]
-    )
+    c, s = math.cos(eraser.xi), math.sin(eraser.xi)
+    e_s = tuple(amp * (s if k & FLAG_POL_V else c) for k, amp in enumerate(port_a))
+    c, s = math.cos(eraser.theta), math.sin(eraser.theta)
+    e_i = tuple(1j * amp * (s if k & FLAG_POL_V else c) for k, amp in enumerate(port_b))
     return e_s, e_i
 
 
-def eraser_intensity(field: FieldState) -> float:
-    """Intensity behind an analyzer: all terms share the analyzer axis and
+def eraser_intensity(fld: Field) -> float:
+    """Intensity behind an analyzer: all slots share the analyzer axis and
     interfere, so this is the squared modulus of the coherent sum."""
-    return abs(field.coherent_sum()) ** 2
+    return abs(sum(fld, 0j)) ** 2
 
 
 def port_intensities(xi, theta, phi):

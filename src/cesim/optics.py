@@ -1,7 +1,12 @@
-"""Elementary optical elements acting on labeled complex mode amplitudes.
+"""Elementary optical elements acting on an 8-slot field of complex mode amplitudes.
 
 Conventions, fixed once for the whole package:
 
+- A field is a tuple of 8 complex amplitudes. Slot ``k = 4 * arm + tag``
+  holds the mode of arm ``arm`` (0 for arm 1, 1 for arm 2) whose mode tag
+  is ``tag = branch_plus + 2 * pol_v``: the same two bits a detected click
+  carries in its flags byte (``detection.mode_tag``). Slots are orthogonal
+  modes and every sum over a field runs in slot order.
 - Field amplitudes are dimensionless and normalized to the source field
   (E0 = 1), so squared moduli are intensities in units of the source
   intensity.
@@ -13,20 +18,26 @@ Conventions, fixed once for the whole package:
 - Analyzer angles are radians. The transmission axis at angle ``a`` has
   projection cos(a) on H and sin(a) on V.
 
-Every operation is a pure function: inputs are never mutated and identical
-inputs give bit-identical outputs, so everything here is safe to call from
-any number of threads.
+Every operation is a pure function of immutable tuples: identical inputs
+give bit-identical outputs.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Mapping, Union
+from typing import Mapping
 
 SQRT_HALF = math.sqrt(0.5)
+
+# The mode-tag bits; the CESIMTT1 flags byte stores a click's tag in them.
+FLAG_BRANCH_PLUS = 0x01  # positive frequency branch
+FLAG_POL_V = 0x02  # V polarization at the analyzer input
+TAG_BITS = FLAG_BRANCH_PLUS | FLAG_POL_V
+N_SLOTS = 8
+
+Field = tuple[complex, ...]
 
 
 class Path(Enum):
@@ -39,25 +50,6 @@ class Path(Enum):
         return Path.PATH2 if self is Path.PATH1 else Path.PATH1
 
 
-class Pol(Enum):
-    H = "H"
-    V = "V"
-
-
-class Detune(Enum):
-    """Sign branch of the frequency offset carried by a mode."""
-
-    PLUS = 1
-    MINUS = -1
-
-    @property
-    def sign(self) -> int:
-        return self.value
-
-    def flipped(self) -> "Detune":
-        return Detune.MINUS if self is Detune.PLUS else Detune.PLUS
-
-
 class Port(Enum):
     """Polarizing-splitter output port. Port A feeds D1, port B feeds D2."""
 
@@ -65,84 +57,21 @@ class Port(Enum):
     B = 1
 
 
-@dataclass(frozen=True, slots=True)
-class ModeLabel:
-    path: Path
-    pol: Pol
-    detune: Detune
+def field(amplitudes: Mapping[int, complex] | None = None) -> Field:
+    """The 8-slot field with the given ``{slot: amplitude}`` entries and
+    vacuum in every other slot."""
+    out = [0j] * N_SLOTS
+    for k, amp in (amplitudes or {}).items():
+        z = complex(amp)
+        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+            raise ValueError("field amplitudes must be finite")
+        out[k] = z
+    return tuple(out)
 
 
-def _label_key(label: ModeLabel):
-    return (label.path.value, label.pol.value, label.detune.value)
-
-
-TermInput = Union[Mapping[ModeLabel, complex], Iterable[tuple[ModeLabel, complex]]]
-
-
-class FieldState:
-    """Finite superposition of labeled modes.
-
-    Terms with the same label merge by summing their amplitudes and terms
-    whose merged amplitude is exactly zero are dropped.  Instances are
-    immutable and iterate in a fixed label order, so compositions are
-    reproducible bit for bit.
-    """
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: TermInput = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[ModeLabel, complex] = {}
-        for label, amp in items:
-            if not isinstance(label, ModeLabel):
-                raise TypeError(
-                    f"field terms must be keyed by ModeLabel, got {type(label).__name__}"
-                )
-            z = complex(amp)
-            if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-                raise ValueError("field amplitudes must be finite")
-            z = acc.get(label, 0j) + z
-            if z == 0:
-                acc.pop(label, None)
-            else:
-                acc[label] = z
-        self._terms = {k: acc[k] for k in sorted(acc, key=_label_key)}
-
-    def terms(self) -> tuple[tuple[ModeLabel, complex], ...]:
-        return tuple(self._terms.items())
-
-    def labels(self) -> tuple[ModeLabel, ...]:
-        return tuple(self._terms)
-
-    def amplitude(self, label: ModeLabel) -> complex:
-        return self._terms.get(label, 0j)
-
-    def power(self) -> float:
-        """Total power, treating distinct labels as orthogonal modes."""
-        return math.fsum(a.real * a.real + a.imag * a.imag for a in self._terms.values())
-
-    def coherent_sum(self) -> complex:
-        return sum(self._terms.values(), 0j)
-
-    def scaled(self, factor: complex) -> "FieldState":
-        return FieldState([(label, amp * factor) for label, amp in self._terms.items()])
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FieldState):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self):
-        return hash(tuple(self._terms.items()))
-
-    def __repr__(self) -> str:
-        body = ", ".join(
-            f"({l.path.name},{l.pol.name},{l.detune.name}): {a!r}" for l, a in self._terms.items()
-        )
-        return f"FieldState({{{body}}})"
+def power(fld: Field) -> float:
+    """Total power, the slots being orthogonal modes."""
+    return math.fsum(a.real * a.real + a.imag * a.imag for a in fld)
 
 
 def _require_finite(value: float, what: str) -> None:
@@ -157,89 +86,45 @@ def bs_transform(in_a: complex, in_b: complex) -> tuple[complex, complex]:
     return out_a, out_b
 
 
-def hwp_22_5(state: FieldState) -> FieldState:
+def hwp_22_5(fld: Field) -> Field:
     """Half-wave plate at 22.5 degrees.
 
-    Per (path, detune) group the (H, V) pair transforms by
+    Per (arm, branch) the (H, V) pair transforms by
     [[cos45, sin45], [sin45, -cos45]]; the matrix is its own inverse.
     """
-    groups = sorted({(l.path, l.detune) for l in state.labels()}, key=lambda k: (k[0].value, k[1].value))
-    out: list[tuple[ModeLabel, complex]] = []
-    for path, detune in groups:
-        h = state.amplitude(ModeLabel(path, Pol.H, detune))
-        v = state.amplitude(ModeLabel(path, Pol.V, detune))
-        out.append((ModeLabel(path, Pol.H, detune), (h + v) * SQRT_HALF))
-        out.append((ModeLabel(path, Pol.V, detune), (h - v) * SQRT_HALF))
-    return FieldState(out)
+    out = list(fld)
+    for h in (0, 1, 4, 5):
+        a_h, a_v = fld[h], fld[h + FLAG_POL_V]
+        out[h] = (a_h + a_v) * SQRT_HALF
+        out[h + FLAG_POL_V] = (a_h - a_v) * SQRT_HALF
+    return tuple(out)
 
 
-def pbs_route(state: FieldState) -> tuple[FieldState, FieldState]:
+def pbs_route(fld: Field) -> tuple[Field, Field]:
     """Polarizing splitter of the recombination stage.
 
-    Port A collects arm 1's V component (with a reflection sign flip) and
-    arm 2's H component; port B collects arm 1's H and arm 2's V. Power is
-    conserved exactly because every term lands on exactly one port.
+    Port A collects arm 1's V slots (with a reflection sign flip) and arm
+    2's H slots; port B collects arm 1's H and arm 2's V. Power is
+    conserved exactly because every slot lands on exactly one port.
     """
-    a_terms: list[tuple[ModeLabel, complex]] = []
-    b_terms: list[tuple[ModeLabel, complex]] = []
-    for label, amp in state.terms():
-        if label.path is Path.PATH1:
-            if label.pol is Pol.V:
-                a_terms.append((label, -amp))
-            else:
-                b_terms.append((label, amp))
-        else:
-            if label.pol is Pol.H:
-                a_terms.append((label, amp))
-            else:
-                b_terms.append((label, amp))
-    return FieldState(a_terms), FieldState(b_terms)
+    z = 0j
+    port_a = (z, z, -fld[2], -fld[3], fld[4], fld[5], z, z)
+    port_b = (fld[0], fld[1], z, z, z, z, fld[6], fld[7])
+    return port_a, port_b
 
 
-def aom_tag(state: FieldState, path: Path, sign: Detune, phase: float) -> FieldState:
-    """Tag every term of one arm with a detuning branch and a phase factor."""
+def aom_tag(fld: Field, arm: int, branch_plus: bool, phase: float) -> Field:
+    """Move every mode of arm ``arm`` (0 or 1) onto one detuning branch and
+    multiply it by the phase factor e^{i phase}."""
     _require_finite(phase, "modulator phase")
     factor = cmath.exp(1j * phase)
-    out: list[tuple[ModeLabel, complex]] = []
-    for label, amp in state.terms():
-        if label.path is path:
-            out.append((replace(label, detune=sign), amp * factor))
-        else:
-            out.append((label, amp))
-    return FieldState(out)
+    out = list(fld)
+    for h_or_v in (4 * arm, 4 * arm + FLAG_POL_V):
+        total = fld[h_or_v] * factor + fld[h_or_v + 1] * factor
+        out[h_or_v], out[h_or_v + 1] = (0j, total) if branch_plus else (total, 0j)
+    return tuple(out)
 
 
-def mirror(state: FieldState, path: Path | None = None) -> FieldState:
-    """Mirror fold: multiply by i, optionally restricted to one arm."""
-    out = [
-        (label, amp * 1j if (path is None or label.path is path) else amp)
-        for label, amp in state.terms()
-    ]
-    return FieldState(out)
-
-
-def analyzer_projection(pol: Pol, angle: float) -> float:
-    """Projection of an H or V mode onto the analyzer axis at ``angle``."""
-    return math.cos(angle) if pol is Pol.H else math.sin(angle)
-
-
-def polarizer_project(state: FieldState, angle: float) -> FieldState:
-    """Project every term onto the analyzer axis at ``angle``.
-
-    Within each (path, detune) group the H and V amplitudes collapse onto a
-    single common-basis amplitude c = a_H cos(angle) + a_V sin(angle); the
-    output keeps that axis decomposed back into H and V components, which
-    makes a second projection at the same angle a no-op. Output power never
-    exceeds input power.
-    """
-    _require_finite(angle, "analyzer angle")
-    c, s = math.cos(angle), math.sin(angle)
-    groups: dict[tuple[Path, Detune], complex] = {}
-    for label, amp in state.terms():
-        key = (label.path, label.detune)
-        groups[key] = groups.get(key, 0j) + amp * (c if label.pol is Pol.H else s)
-    out: list[tuple[ModeLabel, complex]] = []
-    for (path, detune), common in groups.items():
-        out.append((ModeLabel(path, Pol.H, detune), common * c))
-        out.append((ModeLabel(path, Pol.V, detune), common * s))
-    return FieldState(out)
+def mirror(fld: Field, arm: int | None = None) -> Field:
+    """Mirror fold: multiply by i, optionally restricted to arm ``arm`` (0 or 1)."""
+    return tuple(a * 1j if arm is None or k >> 2 == arm else a for k, a in enumerate(fld))

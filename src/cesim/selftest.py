@@ -22,14 +22,15 @@ from .eventstream import (
 from .experiments import ExperimentConfig, analytic_r, emit_csv, run_fig2b
 from .interferometer import (
     EraserSetting,
+    Orientation,
     PairSetting,
     eraser_amplitudes,
     eraser_intensity,
     local_intensity,
     output_fields,
 )
-from .optics import Path, bs_transform
-from .source import SourceConfig, sample_n_pairs
+from .optics import Path, Port, bs_transform
+from .source import PairEvent, SourceConfig, sample_n_pairs
 
 
 def _check_splitter() -> bool:
@@ -69,10 +70,6 @@ def _check_eraser_fringe() -> bool:
 
 
 def _check_outcome_distribution() -> bool:
-    from .source import PairEvent
-    from .optics import Port
-    from .interferometer import Orientation
-
     ev = PairEvent(0, 1e6, Orientation.PLUS_MINUS, Path.PATH1, Path.PATH2, Port.A, Port.B, 0)
     for xi_deg, theta_deg in ((0, 0), (22.5, 22.5), (45, 0), (30, 60)):
         dist = outcome_distribution(ev, EraserSetting(math.radians(xi_deg), math.radians(theta_deg)))

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from cesim.cli import CliInvocation, main, parse_args
+from cesim.cli import OPTIONS, SUBCOMMANDS, CliInvocation, main, parse_args
 from cesim.eventstream import decode_stream
 
 
@@ -99,6 +99,28 @@ class TestParsing:
         monkeypatch.setenv("CESIM_SEED", "not-an-int")
         code, _, err = run_cli(["fig2b"], capsys)
         assert code == 2
+
+
+def _sample_value(opt):
+    """A value for ``opt`` as written on a command line or a config line."""
+    if opt.choices:
+        return opt.choices[-1]
+    return {float: "-2.5", int: "7", str: "some/file.bin"}.get(opt.cast)
+
+
+@pytest.mark.parametrize("opt", OPTIONS, ids=lambda opt: opt.name)
+def test_option_table_flag_and_config_agree(opt, tmp_path):
+    subcommand = opt.subcommands[0] if opt.subcommands else next(iter(SUBCOMMANDS))
+    value = _sample_value(opt)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{opt.name} = {value if value is not None else 'true'}\n", encoding="utf-8")
+    flag = [f"--{opt.name}"] if value is None else [f"--{opt.name}={value}"]
+    from_flag = parse_args([subcommand, *flag]).options[opt.name]
+    from_config = parse_args(["--config", str(cfg), subcommand]).options[opt.name]
+    assert from_flag == from_config
+    assert type(from_flag) is type(from_config)
+    if opt.name != "format":  # csv is its only value
+        assert from_flag != opt.default
 
 
 class TestCommands:

@@ -6,67 +6,57 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cesim.optics import (
-    Detune,
-    FieldState,
-    ModeLabel,
-    Path,
-    Pol,
+    FLAG_BRANCH_PLUS,
+    FLAG_POL_V,
+    N_SLOTS,
     aom_tag,
     bs_transform,
+    field,
     hwp_22_5,
     mirror,
     pbs_route,
-    polarizer_project,
+    power,
 )
 
 from _oracles import splitter_matrix_apply
 
 SQ = math.sqrt(0.5)
 
-ALL_LABELS = [
-    ModeLabel(path, pol, det) for path in Path for pol in Pol for det in Detune
-]
+
+def slot(arm, pol_v, branch_plus):
+    """Slot of the (arm, polarization, branch) mode; arm 0 is arm 1."""
+    return 4 * arm + FLAG_POL_V * pol_v + FLAG_BRANCH_PLUS * branch_plus
+
+
+H1P, V1P, H1M, V1M = slot(0, 0, 1), slot(0, 1, 1), slot(0, 0, 0), slot(0, 1, 0)
+H2P, V2P, H2M, V2M = slot(1, 0, 1), slot(1, 1, 1), slot(1, 0, 0), slot(1, 1, 0)
 
 
 def random_state(rng):
-    """Random network-like state: one frequency branch per arm, so element
+    """Random network-like field: one frequency branch per arm, so element
     applications never merge physically distinct modes."""
-    terms = []
-    for path in Path:
-        detune = Detune.PLUS if rng.random() < 0.5 else Detune.MINUS
-        for pol in Pol:
+    terms = {}
+    for arm in (0, 1):
+        plus = rng.random() < 0.5
+        for pol_v in (0, 1):
             if rng.random() < 0.85:
-                terms.append((ModeLabel(path, pol, detune), complex(rng.normal(), rng.normal())))
-    return FieldState(terms)
+                terms[slot(arm, pol_v, plus)] = complex(rng.normal(), rng.normal())
+    return field(terms)
 
 
 finite_amp = st.complex_numbers(allow_nan=False, allow_infinity=False, max_magnitude=1e6)
 
 
 class TestFieldState:
-    def test_duplicate_labels_merge(self):
-        label = ALL_LABELS[0]
-        state = FieldState([(label, 1 + 2j), (label, 3 - 1j)])
-        assert state.amplitude(label) == 4 + 1j
-        assert len(state) == 1
-
-    def test_zero_amplitudes_dropped(self):
-        label = ALL_LABELS[0]
-        assert len(FieldState([(label, 1.0), (label, -1.0)])) == 0
-
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
-            FieldState([(ALL_LABELS[0], complex("inf"))])
+            field({H1P: complex("inf")})
 
-    def test_rejects_unlabeled_terms(self):
-        with pytest.raises(TypeError):
-            FieldState([("H", 1.0)])
-
-    @given(st.lists(st.tuples(st.sampled_from(ALL_LABELS), finite_amp), max_size=12))
-    def test_power_is_sum_of_squares_after_merge(self, terms):
-        state = FieldState(terms)
-        expected = sum(abs(a) ** 2 for _, a in state.terms())
-        assert state.power() == pytest.approx(expected, rel=1e-12, abs=1e-300)
+    @given(st.dictionaries(st.integers(0, N_SLOTS - 1), finite_amp, max_size=N_SLOTS))
+    def test_power_is_sum_of_squares(self, terms):
+        state = field(terms)
+        expected = sum(abs(a) ** 2 for a in state)
+        assert power(state) == pytest.approx(expected, rel=1e-12, abs=1e-300)
 
 
 class TestSplitter:
@@ -95,170 +85,91 @@ class TestSplitter:
 
 class TestWavePlate:
     def test_pure_h(self):
-        state = FieldState([(ModeLabel(Path.PATH1, Pol.H, Detune.PLUS), 1.0)])
-        out = hwp_22_5(state)
-        assert out.amplitude(ModeLabel(Path.PATH1, Pol.H, Detune.PLUS)) == pytest.approx(SQ)
-        assert out.amplitude(ModeLabel(Path.PATH1, Pol.V, Detune.PLUS)) == pytest.approx(SQ)
+        out = hwp_22_5(field({H1P: 1.0}))
+        assert out[H1P] == pytest.approx(SQ)
+        assert out[V1P] == pytest.approx(SQ)
 
     def test_pure_v(self):
-        state = FieldState([(ModeLabel(Path.PATH1, Pol.V, Detune.PLUS), 1.0)])
-        out = hwp_22_5(state)
-        assert out.amplitude(ModeLabel(Path.PATH1, Pol.H, Detune.PLUS)) == pytest.approx(SQ)
-        assert out.amplitude(ModeLabel(Path.PATH1, Pol.V, Detune.PLUS)) == pytest.approx(-SQ)
+        out = hwp_22_5(field({V1P: 1.0}))
+        assert out[H1P] == pytest.approx(SQ)
+        assert out[V1P] == pytest.approx(-SQ)
 
     def test_involution(self, rng):
         for _ in range(50):
             state = random_state(rng)
             twice = hwp_22_5(hwp_22_5(state))
-            for label in ALL_LABELS:
-                assert twice.amplitude(label) == pytest.approx(state.amplitude(label), abs=1e-12)
+            for k in range(N_SLOTS):
+                assert twice[k] == pytest.approx(state[k], abs=1e-12)
 
 
 class TestPbs:
     def test_arm1_routing(self):
-        state = FieldState(
-            [
-                (ModeLabel(Path.PATH1, Pol.H, Detune.PLUS), 0.3 + 0.1j),
-                (ModeLabel(Path.PATH1, Pol.V, Detune.PLUS), 0.7 - 0.2j),
-            ]
-        )
-        port_a, port_b = pbs_route(state)
-        assert port_a.amplitude(ModeLabel(Path.PATH1, Pol.V, Detune.PLUS)) == -(0.7 - 0.2j)
-        assert port_b.amplitude(ModeLabel(Path.PATH1, Pol.H, Detune.PLUS)) == 0.3 + 0.1j
-        assert len(port_a) == 1 and len(port_b) == 1
+        port_a, port_b = pbs_route(field({H1P: 0.3 + 0.1j, V1P: 0.7 - 0.2j}))
+        assert port_a[V1P] == -(0.7 - 0.2j)
+        assert port_b[H1P] == 0.3 + 0.1j
+        assert sum(1 for a in port_a if a) == 1 and sum(1 for a in port_b if a) == 1
 
     def test_arm2_routing(self):
-        state = FieldState(
-            [
-                (ModeLabel(Path.PATH2, Pol.H, Detune.MINUS), 0.5j),
-                (ModeLabel(Path.PATH2, Pol.V, Detune.MINUS), -0.25),
-            ]
-        )
-        port_a, port_b = pbs_route(state)
-        assert port_a.amplitude(ModeLabel(Path.PATH2, Pol.H, Detune.MINUS)) == 0.5j
-        assert port_b.amplitude(ModeLabel(Path.PATH2, Pol.V, Detune.MINUS)) == -0.25
+        port_a, port_b = pbs_route(field({H2M: 0.5j, V2M: -0.25}))
+        assert port_a[H2M] == 0.5j
+        assert port_b[V2M] == -0.25
 
     def test_empty(self):
-        port_a, port_b = pbs_route(FieldState())
-        assert len(port_a) == 0 and len(port_b) == 0
+        port_a, port_b = pbs_route(field())
+        assert not any(port_a) and not any(port_b)
 
     def test_power_split_exact(self, rng):
         for _ in range(200):
             state = random_state(rng)
             port_a, port_b = pbs_route(state)
-            assert port_a.power() + port_b.power() == pytest.approx(state.power(), rel=1e-13)
+            assert power(port_a) + power(port_b) == pytest.approx(power(state), rel=1e-13)
 
 
 class TestAom:
     def test_tag_and_phase(self):
-        state = FieldState([(ModeLabel(Path.PATH1, Pol.H, Detune.PLUS), 1.0)])
         phi = 0.4
-        out = aom_tag(state, Path.PATH1, Detune.PLUS, phi)
-        assert out.amplitude(ModeLabel(Path.PATH1, Pol.H, Detune.PLUS)) == pytest.approx(
-            cmath.exp(1j * phi)
-        )
+        out = aom_tag(field({H1P: 1.0}), 0, True, phi)
+        assert out[H1P] == pytest.approx(cmath.exp(1j * phi))
 
     def test_zero_phase_only_relabels(self):
-        state = FieldState([(ModeLabel(Path.PATH2, Pol.V, Detune.PLUS), 0.5 - 0.5j)])
-        out = aom_tag(state, Path.PATH2, Detune.MINUS, 0.0)
-        assert out.amplitude(ModeLabel(Path.PATH2, Pol.V, Detune.MINUS)) == 0.5 - 0.5j
-        assert out.amplitude(ModeLabel(Path.PATH2, Pol.V, Detune.PLUS)) == 0
+        out = aom_tag(field({V2P: 0.5 - 0.5j}), 1, False, 0.0)
+        assert out[V2M] == 0.5 - 0.5j
+        assert out[V2P] == 0
 
     def test_pi_phase_negates(self):
-        state = FieldState([(ModeLabel(Path.PATH1, Pol.V, Detune.MINUS), 1.0)])
-        out = aom_tag(state, Path.PATH1, Detune.MINUS, math.pi)
-        amp = out.amplitude(ModeLabel(Path.PATH1, Pol.V, Detune.MINUS))
+        out = aom_tag(field({V1M: 1.0}), 0, False, math.pi)
+        amp = out[V1M]
         assert amp == pytest.approx(-1.0, abs=1e-12)
         assert abs(amp) ** 2 == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_nonfinite_phase(self):
-        state = FieldState([(ModeLabel(Path.PATH1, Pol.H, Detune.PLUS), 1.0)])
         with pytest.raises(ValueError):
-            aom_tag(state, Path.PATH1, Detune.PLUS, math.nan)
+            aom_tag(field({H1P: 1.0}), 0, True, math.nan)
 
     def test_untouched_arm_preserved(self, rng):
         state = random_state(rng)
-        out = aom_tag(state, Path.PATH1, Detune.MINUS, 1.2)
-        for label, amp in state.terms():
-            if label.path is Path.PATH2:
-                assert out.amplitude(label) == amp
-
-
-class TestPolarizer:
-    def test_common_basis_amplitude(self):
-        xi = math.radians(33.0)
-        h, v = 0.31 + 0.2j, -0.44 + 0.11j
-        state = FieldState(
-            [
-                (ModeLabel(Path.PATH1, Pol.H, Detune.PLUS), h),
-                (ModeLabel(Path.PATH1, Pol.V, Detune.PLUS), v),
-            ]
-        )
-        out = polarizer_project(state, xi)
-        common = h * math.cos(xi) + v * math.sin(xi)
-        assert out.amplitude(ModeLabel(Path.PATH1, Pol.H, Detune.PLUS)) == pytest.approx(
-            common * math.cos(xi)
-        )
-        assert out.power() == pytest.approx(abs(common) ** 2, rel=1e-12)
-
-    def test_angle_zero_kills_v(self):
-        state = FieldState(
-            [
-                (ModeLabel(Path.PATH2, Pol.H, Detune.MINUS), 0.8),
-                (ModeLabel(Path.PATH2, Pol.V, Detune.MINUS), 0.6),
-            ]
-        )
-        out = polarizer_project(state, 0.0)
-        assert out.amplitude(ModeLabel(Path.PATH2, Pol.H, Detune.MINUS)) == 0.8
-        assert out.amplitude(ModeLabel(Path.PATH2, Pol.V, Detune.MINUS)) == 0
-
-    def test_aligned_diagonal_fully_transmitted(self):
-        state = FieldState(
-            [
-                (ModeLabel(Path.PATH1, Pol.H, Detune.PLUS), SQ),
-                (ModeLabel(Path.PATH1, Pol.V, Detune.PLUS), SQ),
-            ]
-        )
-        out = polarizer_project(state, math.pi / 4)
-        assert out.power() == pytest.approx(1.0, abs=1e-12)
-
-    def test_idempotent(self, rng):
-        for _ in range(100):
-            angle = rng.uniform(-math.pi, math.pi)
-            once = polarizer_project(random_state(rng), angle)
-            twice = polarizer_project(once, angle)
-            for label in ALL_LABELS:
-                assert twice.amplitude(label) == pytest.approx(once.amplitude(label), abs=1e-12)
-
-    def test_never_gains_power(self, rng):
-        for _ in range(100):
-            state = random_state(rng)
-            out = polarizer_project(state, rng.uniform(-math.pi, math.pi))
-            assert out.power() <= state.power() + 1e-12
+        out = aom_tag(state, 0, False, 1.2)
+        assert out[4:] == state[4:]
 
 
 class TestUnitarity:
     def test_lossless_elements_preserve_power(self, rng):
         for _ in range(1000):
             state = random_state(rng)
-            p = state.power()
-            pol, det = Pol.H, Detune.PLUS
-            in_a = state.amplitude(ModeLabel(Path.PATH1, pol, det))
-            in_b = state.amplitude(ModeLabel(Path.PATH2, pol, det))
+            p = power(state)
+            in_a, in_b = state[H1P], state[H2P]
             out_a, out_b = bs_transform(in_a, in_b)
             assert abs(out_a) ** 2 + abs(out_b) ** 2 == pytest.approx(
                 abs(in_a) ** 2 + abs(in_b) ** 2, abs=1e-12
             )
-            assert hwp_22_5(state).power() == pytest.approx(p, rel=1e-12, abs=1e-12)
-            assert mirror(state).power() == pytest.approx(p, rel=1e-12, abs=1e-12)
-            assert aom_tag(state, Path.PATH1, Detune.MINUS, rng.uniform(0, 7)).power() == pytest.approx(
+            assert power(hwp_22_5(state)) == pytest.approx(p, rel=1e-12, abs=1e-12)
+            assert power(mirror(state)) == pytest.approx(p, rel=1e-12, abs=1e-12)
+            assert power(aom_tag(state, 0, False, rng.uniform(0, 7))) == pytest.approx(
                 p, rel=1e-12, abs=1e-12
             )
 
     def test_composition_determinism(self, rng):
         state = random_state(rng)
-        first = pbs_route(hwp_22_5(mirror(state, Path.PATH1)))
-        second = pbs_route(hwp_22_5(mirror(state, Path.PATH1)))
+        first = pbs_route(hwp_22_5(mirror(state, 0)))
+        second = pbs_route(hwp_22_5(mirror(state, 0)))
         assert first[0] == second[0] and first[1] == second[1]
-
-
