@@ -46,11 +46,11 @@ def main() -> int:
     window = args.window_ps
     if window is None:
         window = 10_000_000 if args.jitter else 1_000
-    records = match_coincidences(decode_stream(blob), window)
-    accepted = [r for r in records if r.accepted]
-    joins = sum(1 for r in accepted if r.pair_id_1 == r.pair_id_2)
+    coincidences = match_coincidences(decode_stream(blob), window)
+    accepted = coincidences[coincidences["accepted"]]
+    joins = int(np.count_nonzero(accepted["pair_id_1"] == accepted["pair_id_2"]))
     truth = int(np.count_nonzero(batch.cross_mask & (batch.port1 != batch.port2)))
-    print(f"window {window} ps: {len(accepted)} accepted of {len(records)} candidates")
+    print(f"window {window} ps: {len(accepted)} accepted of {len(coincidences)} candidates")
     print(f"selection efficiency {selection_efficiency(batch):.4f} (expected 0.25)")
     print(f"ground-truth recovery {joins / truth:.5f} over {truth} true pairs")
 

@@ -51,10 +51,9 @@ from .detection import (
     visibility,
 )
 from .eventstream import (
-    CoincidenceRecord,
-    RejectReason,
+    COINCIDENCE_DTYPE,
+    REJECT_REASONS,
     TagStream,
-    TimeTagRecord,
     decode_stream,
     encode_stream,
     histogram_tau_si,

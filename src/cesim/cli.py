@@ -139,10 +139,15 @@ def _read_config(path: str) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _BY_NAME:
             raise CliError(f"{path}:{lineno}: unknown option '{key}'")
+        opt = _BY_NAME[key]
         try:
-            entries[key] = _BY_NAME[key].cast(value)
+            entries[key] = opt.cast(value)
         except ValueError as exc:
             raise CliError(f"{path}:{lineno}: bad value for '{key}': {value}") from exc
+        if opt.choices and entries[key] not in opt.choices:
+            raise CliError(
+                f"{path}:{lineno}: bad value for '{key}': {value} (choose from {', '.join(opt.choices)})"
+            )
     return entries
 
 
@@ -311,13 +316,13 @@ def _cmd_events_match(options: dict) -> int:
         raise CliError("events-match needs --in")
     data = FsPath(options["in"]).read_bytes()
     stream = eventstream.decode_stream(data)
-    records = eventstream.match_coincidences(stream, options["window-ps"])
-    accepted = [r for r in records if r.accepted]
+    coincidences = eventstream.match_coincidences(stream, options["window-ps"])
+    accepted = coincidences[coincidences["accepted"]]
     print(
-        f"{len(stream)} records, {len(records)} candidates, {len(accepted)} accepted coincidences"
+        f"{len(stream)} records, {len(coincidences)} candidates, {len(accepted)} accepted coincidences"
     )
     if options["out"] is not None:
-        eventstream.write_coincidences_csv(records, options["out"])
+        eventstream.write_coincidences_csv(coincidences, options["out"])
         print(f"wrote {options['out']}")
     if options["hist-out"] is not None:
         hist = eventstream.histogram_tau_si(accepted, options["bin-ps"], options["range-ps"])

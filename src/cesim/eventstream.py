@@ -27,9 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path as FsPath
-from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -51,7 +49,6 @@ from .source import PairBatch
 
 MAGIC = b"CESIMTT1"
 VERSION = 1
-NO_PAIR_ID = 0xFFFF_FFFF
 T_PS_LIMIT = 2**63  # keeps every timestamp exact in the matcher's int64 arithmetic
 
 RECORD_DTYPE = np.dtype(
@@ -95,16 +92,9 @@ class TimestampRangeError(StreamFormatError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class TimeTagRecord:
-    t_ps: int
-    channel: int
-    flags: int
-    pair_id: int = NO_PAIR_ID
-
-
 class TagStream:
-    """Decoded click stream backed by a structured numpy array."""
+    """Decoded click stream backed by a structured numpy array, valid by
+    construction: building one runs ``validate``."""
 
     __slots__ = ("_array",)
 
@@ -112,14 +102,7 @@ class TagStream:
         if array.dtype != RECORD_DTYPE:
             array = array.astype(RECORD_DTYPE)
         self._array = array
-
-    @classmethod
-    def from_records(cls, records: Iterable[TimeTagRecord]) -> "TagStream":
-        records = list(records)
-        array = np.zeros(len(records), dtype=RECORD_DTYPE)
-        for i, rec in enumerate(records):
-            array[i] = (rec.t_ps, rec.channel, rec.flags, rec.pair_id, 0)
-        return cls(array)
+        self.validate()
 
     @classmethod
     def from_fields(cls, t_ps, channel, flags, pair_id) -> "TagStream":
@@ -135,12 +118,6 @@ class TagStream:
     def array(self) -> np.ndarray:
         return self._array
 
-    def to_records(self) -> list[TimeTagRecord]:
-        return [
-            TimeTagRecord(int(r["t_ps"]), int(r["channel"]), int(r["flags"]), int(r["pair_id"]))
-            for r in self._array
-        ]
-
     def validate(self) -> None:
         """Raise the StreamFormatError of the first broken wire-format rule:
         channels in {0, 1}, timestamps below 2**63, time order per channel."""
@@ -150,6 +127,8 @@ class TagStream:
             raise UnknownChannelError("channel outside {0 = D1, 1 = D2}")
         if np.any(t >= T_PS_LIMIT):
             raise TimestampRangeError("timestamp at or above 2**63 ps")
+        if np.all(t[1:] >= t[:-1]):
+            return  # in time order overall, so in time order per channel
         for ch in (0, 1):
             t_ch = t[channel == ch]
             if np.any(t_ch[1:] < t_ch[:-1]):
@@ -167,14 +146,9 @@ class TagStream:
         return f"TagStream({len(self)} records)"
 
 
-def encode_stream(stream: Union[TagStream, Iterable[TimeTagRecord]]) -> bytes:
-    """Serialize a per-channel time-ordered stream to the wire format."""
-    if not isinstance(stream, TagStream):
-        stream = TagStream.from_records(stream)
-    stream.validate()
-    header = MAGIC + VERSION.to_bytes(2, "little")
-    body = stream.array.tobytes()
-    return header + body
+def encode_stream(stream: TagStream) -> bytes:
+    """Serialize a (valid by construction) stream to the wire format."""
+    return MAGIC + VERSION.to_bytes(2, "little") + stream.array.tobytes()
 
 
 def decode_stream(data: bytes) -> TagStream:
@@ -189,46 +163,51 @@ def decode_stream(data: bytes) -> TagStream:
         raise TruncatedRecordError(
             f"stream body of {len(body)} bytes is not a whole number of {RECORD_SIZE}-byte records"
         )
-    array = np.frombuffer(body, dtype=RECORD_DTYPE).copy()
-    stream = TagStream(array)
-    stream.validate()
-    return stream
+    return TagStream(np.frombuffer(body, dtype=RECORD_DTYPE).copy())
 
 
-class RejectReason(Enum):
-    NONE = "none"
-    CROSS_POLARIZATION = "cross-polarization"
-    SAME_DETUNING = "same-detuning"
-    OUT_OF_WINDOW = "out-of-window"
+# One row per D1 click that meets a D2 click; ``reason`` indexes REJECT_REASONS.
+COINCIDENCE_DTYPE = np.dtype(
+    [
+        ("t1_ps", "<i8"),
+        ("t2_ps", "<i8"),
+        ("tau_si_ps", "<i8"),
+        ("accepted", "?"),
+        ("reason", "u1"),
+        ("pair_id_1", "<u4"),
+        ("pair_id_2", "<u4"),
+    ]
+)
+REJECT_REASONS = ("none", "cross-polarization", "same-detuning", "out-of-window")
+OUT_OF_WINDOW = REJECT_REASONS.index("out-of-window")
 
 
-@dataclass(frozen=True, slots=True)
-class CoincidenceRecord:
-    t1_ps: int
-    t2_ps: int
-    tau_si_ps: int
-    accepted: bool
-    reject_reason: RejectReason
-    pair_id_1: int = NO_PAIR_ID
-    pair_id_2: int = NO_PAIR_ID
-
-
-def _reject_reason(key: int) -> RejectReason:
+def _reject_reason(key: int) -> int:
     """Why a rule-rejected pair with tag key 4 * tag_d1 + tag_d2 fails."""
     differ = (key >> 2 ^ key) & TAG_BITS
     if differ & FLAG_POL_V:
-        return RejectReason.CROSS_POLARIZATION
+        return REJECT_REASONS.index("cross-polarization")
     if not differ & FLAG_BRANCH_PLUS:
-        return RejectReason.SAME_DETUNING
-    return RejectReason.NONE  # a custom rule rejected a tag-compatible pair
+        return REJECT_REASONS.index("same-detuning")
+    return REJECT_REASONS.index("none")  # a custom rule rejected a tag-compatible pair
 
 
-_REJECT_REASONS = tuple(_reject_reason(key) for key in range(16))
+_REJECT_REASON_CODES = np.array([_reject_reason(key) for key in range(16)], dtype=np.uint8)
+
+
+def _find_free(parent: list[int], k: int) -> int:
+    """Root of slot ``k`` in a next-free-slot forest, compressing the path."""
+    root = parent[k]
+    while parent[root] != root:
+        root = parent[root]
+    while parent[k] != root:
+        parent[k], k = root, parent[k]
+    return root
 
 
 def match_coincidences(
     stream: TagStream, window_ps: int, rule: SelectionRule | None = None
-) -> list[CoincidenceRecord]:
+) -> np.ndarray:
     """Single pass over the two detector channels.
 
     Every D1 click is paired with its nearest unconsumed D2 click, ties
@@ -236,12 +215,12 @@ def match_coincidences(
     reported as out-of-window; candidates inside it are checked against the
     selection rule on the two clicks' flag tags.  Only accepted pairs
     consume their clicks, so each click joins at most one accepted
-    coincidence.
+    coincidence.  Returns a COINCIDENCE_DTYPE array, one row per candidate
+    in D1 order.
     """
     if window_ps < 0:
         raise ValueError("window must be non-negative")
     rule = rule or SelectionRule.heterodyne()
-    stream.validate()
 
     arr = stream.array
     mask2 = arr["channel"] == 1
@@ -249,51 +228,55 @@ def match_coincidences(
     d2 = arr[mask2]
     t1 = d1["t_ps"].astype(np.int64)
     t2 = d2["t_ps"].astype(np.int64)
+    key1 = 4 * (d1["flags"] & TAG_BITS)
+    tag2 = d2["flags"] & TAG_BITS
+    accept = np.array([rule.accepts(key >> 2, key & TAG_BITS) for key in range(16)])
+
+    # Next-free-slot union-find (Tarjan 1975): right[k] leads to the first
+    # unconsumed D2 at or after k (n2 when none), left[k] to the last one
+    # before k, shifted by one (0 when none).  A consumed slot links to its
+    # neighbour and every find compresses its path, so skipping consumed
+    # clicks stays near-linear even when most of them are consumed.
     n2 = len(t2)
-    if n2 == 0 or len(t1) == 0:
-        return []
-
-    accept = [rule.accepts(key >> 2, key & TAG_BITS) for key in range(16)]
-    key1 = (4 * (d1["flags"] & TAG_BITS)).tolist()
-    tag2 = (d2["flags"] & TAG_BITS).tolist()
-    id1 = d1["pair_id"].tolist()
-    id2 = d2["pair_id"].tolist()
-    t1_list = t1.tolist()
+    right = list(range(n2 + 1))
+    left = right[:]
     t2_list = t2.tolist()
-    insert = np.searchsorted(t2, t1).tolist()
+    tag2_list = tag2.tolist()
+    accept_list = accept.tolist()
+    met: list[int] = []  # the D2 click the i-th D1 click meets
+    for ti, k1, r in zip(t1.tolist(), key1.tolist(), np.searchsorted(t2, t1).tolist()):
+        lft = r
+        if right[r] != r:
+            r = _find_free(right, r)
+        if left[lft] != lft:
+            lft = _find_free(left, lft)
+        if lft == 0:
+            if r == n2:
+                break  # every D2 click is consumed, for this and all later D1
+            j = r
+        elif r == n2 or ti - t2_list[lft - 1] <= t2_list[r] - ti:
+            j = lft - 1  # the tie goes to the earlier D2
+        else:
+            j = r
+        if abs(t2_list[j] - ti) <= window_ps and accept_list[k1 + tag2_list[j]]:
+            right[j] = j + 1
+            left[j + 1] = j
+        met.append(j)
 
-    used = bytearray(n2)
-    out: list[CoincidenceRecord] = []
-    for i, ti in enumerate(t1_list):
-        # nearest unconsumed D2 on each side of the insertion point
-        j_right = insert[i]
-        while j_right < n2 and used[j_right]:
-            j_right += 1
-        j_left = insert[i] - 1
-        while j_left >= 0 and used[j_left]:
-            j_left -= 1
-        if j_left < 0 and j_right >= n2:
-            continue
-        if j_left < 0:
-            j = j_right
-        elif j_right >= n2:
-            j = j_left
-        else:
-            dl = ti - t2_list[j_left]
-            dr = t2_list[j_right] - ti
-            j = j_left if dl <= dr else j_right  # tie goes to the earlier D2
-        dt = t2_list[j] - ti
-        if abs(dt) > window_ps:
-            out.append(
-                CoincidenceRecord(ti, t2_list[j], dt, False, RejectReason.OUT_OF_WINDOW, id1[i], id2[j])
-            )
-            continue
-        key = key1[i] + tag2[j]
-        if accept[key]:
-            used[j] = 1
-            out.append(CoincidenceRecord(ti, t2_list[j], dt, True, RejectReason.NONE, id1[i], id2[j]))
-        else:
-            out.append(CoincidenceRecord(ti, t2_list[j], dt, False, _REJECT_REASONS[key], id1[i], id2[j]))
+    # the D1 clicks that meet a D2 click are a prefix of the channel
+    m = len(met)
+    j = np.array(met, dtype=np.intp)
+    out = np.zeros(m, dtype=COINCIDENCE_DTYPE)
+    out["t1_ps"] = t1[:m]
+    out["t2_ps"] = t2[j]
+    out["tau_si_ps"] = out["t2_ps"] - out["t1_ps"]
+    out["pair_id_1"] = d1["pair_id"][:m]
+    out["pair_id_2"] = d2["pair_id"][j]
+    key = key1[:m] + tag2[j]
+    in_window = np.abs(out["tau_si_ps"]) <= window_ps
+    out["accepted"] = in_window & accept[key]
+    reasons = np.where(accept, 0, _REJECT_REASON_CODES)  # code 0 is "none"
+    out["reason"] = np.where(in_window, reasons[key], OUT_OF_WINDOW)
     return out
 
 
@@ -308,9 +291,7 @@ class TauHistogram:
         return 0.5 * (self.bin_lo_ps + self.bin_hi_ps)
 
 
-def histogram_tau_si(
-    records: Sequence[CoincidenceRecord], bin_ps: float, range_ps: float
-) -> TauHistogram:
+def histogram_tau_si(coincidences: np.ndarray, bin_ps: float, range_ps: float) -> TauHistogram:
     """Histogram of the inter-detector delays of accepted coincidences.
 
     Bins are centered on zero so a delta-distributed delay lands entirely
@@ -320,13 +301,13 @@ def histogram_tau_si(
         raise ValueError("bin width must be positive")
     if range_ps <= 0 or not math.isfinite(range_ps):
         raise ValueError("histogram range must be positive")
-    if any(not rec.accepted for rec in records):
-        raise ValueError("histogram expects accepted coincidence records only")
+    if not np.all(coincidences["accepted"]):
+        raise ValueError("histogram expects accepted coincidences only")
     n_side = int(math.ceil(range_ps / bin_ps))
     n_bins = 2 * n_side + 1
     counts = np.zeros(n_bins, dtype=np.int64)
-    if records:
-        taus = np.array([rec.tau_si_ps for rec in records], dtype=np.float64)
+    if len(coincidences):
+        taus = coincidences["tau_si_ps"].astype(np.float64)
         k = np.floor(taus / bin_ps + 0.5).astype(np.int64)
         keep = (k >= -n_side) & (k <= n_side)
         counts = np.bincount((k[keep] + n_side).astype(np.int64), minlength=n_bins)
@@ -502,10 +483,14 @@ def write_histogram_csv(hist: TauHistogram, path) -> None:
     FsPath(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def write_coincidences_csv(records: Sequence[CoincidenceRecord], path) -> None:
+def write_coincidences_csv(coincidences: np.ndarray, path) -> None:
     lines = ["t1_ps,t2_ps,tau_si_ps,accepted,reject_reason"]
-    for rec in records:
-        lines.append(
-            f"{rec.t1_ps},{rec.t2_ps},{rec.tau_si_ps},{int(rec.accepted)},{rec.reject_reason.value}"
-        )
+    columns = zip(
+        coincidences["t1_ps"].tolist(),
+        coincidences["t2_ps"].tolist(),
+        coincidences["tau_si_ps"].tolist(),
+        coincidences["accepted"].astype(np.uint8).tolist(),
+        coincidences["reason"].tolist(),
+    )
+    lines += [f"{t1},{t2},{tau},{acc},{REJECT_REASONS[reason]}" for t1, t2, tau, acc, reason in columns]
     FsPath(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

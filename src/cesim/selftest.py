@@ -12,13 +12,7 @@ import math
 import numpy as np
 
 from .detection import Outcome, outcome_distribution, selection_efficiency
-from .eventstream import (
-    TagStream,
-    TimeTagRecord,
-    decode_stream,
-    encode_stream,
-    match_coincidences,
-)
+from .eventstream import TagStream, decode_stream, encode_stream, match_coincidences
 from .experiments import ExperimentConfig, analytic_r, emit_csv, run_fig2b
 from .interferometer import (
     EraserSetting,
@@ -98,12 +92,10 @@ def _check_roundtrip(seed: int) -> bool:
 
 
 def _check_matcher() -> bool:
-    records = [
-        TimeTagRecord(1000, 0, 0b10, 1),  # V, minus branch at D1
-        TimeTagRecord(1400, 1, 0b11, 1),  # V, plus branch at D2
-    ]
-    out = match_coincidences(TagStream.from_records(records), 1000)
-    return len(out) == 1 and out[0].accepted and out[0].tau_si_ps == 400
+    # V, minus branch at D1 and V, plus branch at D2, 400 ps apart
+    stream = TagStream.from_fields([1000, 1400], [0, 1], [0b10, 0b11], [1, 1])
+    out = match_coincidences(stream, 1000)
+    return len(out) == 1 and bool(out["accepted"][0]) and out["tau_si_ps"][0] == 400
 
 
 def _check_csv_stability(seed: int) -> bool:

@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import dataclass
+
+import numpy as np
 
 SQ = math.sqrt(0.5)
 
@@ -125,6 +128,67 @@ def pair_accepted(route1, route2, port1, port2, orientation_sign, accept) -> boo
     label1 = photon_label(route1, port1, orientation_sign)
     label2 = photon_label(route2, port2, orientation_sign)
     return accept(label1, label2) if port1 == 0 else accept(label2, label1)
+
+
+@dataclass(frozen=True, slots=True)
+class CoincidenceRecord:
+    t1_ps: int
+    t2_ps: int
+    tau_si_ps: int
+    accepted: bool
+    reject_reason: str
+    pair_id_1: int
+    pair_id_2: int
+
+
+def reference_match(array, window_ps: int, accepts) -> list[CoincidenceRecord]:
+    """The straightforward nearest-free-D2 matcher, one record per candidate.
+
+    ``array`` has the wire fields ``t_ps``, ``channel``, ``flags`` and
+    ``pair_id``; ``accepts(tag_d1, tag_d2)`` is the selection rule.  Each
+    D1 click, in time order, walks outward over consumed D2 clicks to the
+    nearest unconsumed one on each side, ties going to the earlier D2; an
+    in-window candidate the rule accepts consumes its D2 click.  The walks
+    make this quadratic when most D2 clicks get consumed.
+    """
+    mask2 = array["channel"] == 1
+    d1 = array[~mask2]
+    d2 = array[mask2]
+    t1 = d1["t_ps"].astype(np.int64)
+    t2 = d2["t_ps"].astype(np.int64)
+    t1_list = t1.tolist()
+    t2_list = t2.tolist()
+    n2 = len(t2_list)
+    insert = np.searchsorted(t2, t1).tolist()
+    used = bytearray(n2)
+    out = []
+    for i, ti in enumerate(t1_list):
+        j_right = insert[i]
+        while j_right < n2 and used[j_right]:
+            j_right += 1
+        j_left = insert[i] - 1
+        while j_left >= 0 and used[j_left]:
+            j_left -= 1
+        if j_left < 0 and j_right >= n2:
+            continue
+        if j_left < 0:
+            j = j_right
+        elif j_right >= n2:
+            j = j_left
+        else:
+            j = j_left if ti - t2_list[j_left] <= t2_list[j_right] - ti else j_right
+        dt = t2_list[j] - ti
+        tag1, tag2 = int(d1["flags"][i]) & 0b11, int(d2["flags"][j]) & 0b11
+        ids = int(d1["pair_id"][i]), int(d2["pair_id"][j])
+        if abs(dt) > window_ps:
+            out.append(CoincidenceRecord(ti, t2_list[j], dt, False, "out-of-window", *ids))
+        elif accepts(tag1, tag2):
+            used[j] = 1
+            out.append(CoincidenceRecord(ti, t2_list[j], dt, True, "none", *ids))
+        else:
+            reason = reject_reason(label_from_click(0, tag1), label_from_click(1, tag2))
+            out.append(CoincidenceRecord(ti, t2_list[j], dt, False, reason, *ids))
+    return out
 
 
 # Final detection modes behind the analyzers: (port, axis) with axis "pass"

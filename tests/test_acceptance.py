@@ -181,7 +181,8 @@ def test_criterion_09_envelope_decay():
     tau_c = 1.0 / DELTA
     batch = sample_n_pairs(SourceConfig(seed=109, rate=1e5), 1_000_000)
     stream = synthesize_stream(batch, coincidence=CoincidenceSetting(tau_c=tau_c), jitter=True, seed=1090)
-    accepted = [r for r in match_coincidences(stream, 10_000_000) if r.accepted]
+    coincidences = match_coincidences(stream, 10_000_000)
+    accepted = coincidences[coincidences["accepted"]]
     hist = histogram_tau_si(accepted, 50_000, 8_000_000)
     decay_s = fit_decay_ps(hist, min_count=50) * 1e-12
     rel = abs(decay_s - tau_c / 2) / (tau_c / 2)
@@ -233,15 +234,17 @@ def test_criterion_11_pipeline_integrity():
         pieces.append(decode_stream(MAGIC + (1).to_bytes(2, "little") + body[lo : lo + step]).array)
     merged = np.concatenate(pieces)
     merged = merged[np.lexsort((merged["channel"], merged["t_ps"]))]
-    chunk_ok = match_coincidences(TagStream(merged), 1000) == whole
+    chunk_ok = np.array_equal(match_coincidences(TagStream(merged), 1000), whole)
 
     # ground-truth recovery at default rates
     big = sample_n_pairs(SourceConfig(seed=1112), 100_000)
     big_stream = synthesize_stream(big, seed=1113)
-    accepted = [r for r in match_coincidences(big_stream, 1000) if r.accepted]
-    joins_ok = all(r.pair_id_1 == r.pair_id_2 for r in accepted)
+    coincidences = match_coincidences(big_stream, 1000)
+    accepted = coincidences[coincidences["accepted"]]
+    joined = accepted["pair_id_1"] == accepted["pair_id_2"]
+    joins_ok = bool(np.all(joined))
     truth = int(np.count_nonzero(big.cross_mask & (big.port1 != big.port2)))
-    recovery = sum(1 for r in accepted if r.pair_id_1 == r.pair_id_2) / truth
+    recovery = np.count_nonzero(joined) / truth
     recovery_ok = recovery >= 0.999
 
     ok = roundtrip_ok and chunk_ok and joins_ok and recovery_ok

@@ -72,6 +72,15 @@ class TestParsing:
         assert code == 2
         assert "unknown option" in err
 
+    @pytest.mark.parametrize("line", ["mode = foo", "format = tsv"])
+    def test_config_value_outside_choices(self, tmp_path, capsys, line):
+        # the flag's choices hold for a config line too
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n", encoding="utf-8")
+        code, _, err = run_cli(["--config", str(cfg), "fig2b"], capsys)
+        assert code == 2
+        assert "bad value" in err
+
     def test_grid_parsing(self):
         inv = parse_args(["fig2a", "--grid=-1e6:1e6:2e5"])
         assert inv.options["grid"] == "-1e6:1e6:2e5"

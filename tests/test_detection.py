@@ -20,7 +20,7 @@ from cesim.detection import (
     selection_efficiency,
     visibility,
 )
-from cesim.eventstream import RejectReason, TagStream, TimeTagRecord, match_coincidences
+from cesim.eventstream import REJECT_REASONS, TagStream, match_coincidences
 from cesim.interferometer import EraserSetting, Orientation, PairSetting, eraser_amplitudes
 from cesim.optics import Path, Port
 from cesim.source import PairEvent, SourceConfig, sample_n_pairs
@@ -66,17 +66,18 @@ class TestSelectionRule:
     @pytest.mark.parametrize("name", sorted(RULE_PREDICATES))
     def test_reject_reasons_match_label_oracle(self, name):
         rule = getattr(SelectionRule, name)()
-        records = [TimeTagRecord(1000 * k, 0, tag_d1, k) for k, (tag_d1, _) in enumerate(TAG_PAIRS)]
-        records += [TimeTagRecord(1000 * k, 1, tag_d2, k) for k, (_, tag_d2) in enumerate(TAG_PAIRS)]
-        records.sort(key=lambda r: (r.t_ps, r.channel))
-        out = match_coincidences(TagStream.from_records(records), 10, rule)
+        # D1 and D2 click k, both at 1000 * k ps, carry the k-th tag pair
+        t = np.repeat(1000 * np.arange(16), 2)
+        flags = np.array(TAG_PAIRS).ravel()
+        stream = TagStream.from_fields(t, np.tile([0, 1], 16), flags, t // 1000)
+        out = match_coincidences(stream, 10, rule)
         assert len(out) == 16
-        for rec, (tag_d1, tag_d2) in zip(out, TAG_PAIRS):
+        for row, (tag_d1, tag_d2) in zip(out, TAG_PAIRS):
             label_d1, label_d2 = label_from_click(0, tag_d1), label_from_click(1, tag_d2)
             accepted = RULE_PREDICATES[name](label_d1, label_d2)
-            assert rec.accepted is accepted
+            assert bool(row["accepted"]) is accepted
             expected = "none" if accepted else reject_reason(label_d1, label_d2)
-            assert rec.reject_reason is RejectReason(expected), (tag_d1, tag_d2)
+            assert REJECT_REASONS[row["reason"]] == expected, (tag_d1, tag_d2)
 
 
 class TestHeterodyneProduct:

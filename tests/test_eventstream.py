@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 
@@ -6,16 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cesim.detection import CoincidenceSetting, mode_tag, selection_efficiency
+from cesim.detection import CoincidenceSetting, SelectionRule, mode_tag, selection_efficiency
 from cesim.eventstream import (
+    COINCIDENCE_DTYPE,
     HEADER_SIZE,
     MAGIC,
+    RECORD_DTYPE,
     RECORD_SIZE,
+    REJECT_REASONS,
     BadMagicError,
-    CoincidenceRecord,
-    RejectReason,
     TagStream,
-    TimeTagRecord,
     TimestampOrderError,
     TimestampRangeError,
     TruncatedRecordError,
@@ -33,7 +34,7 @@ from cesim.eventstream import (
 from cesim.interferometer import EraserSetting
 from cesim.source import SourceConfig, sample_n_pairs
 
-from _oracles import label_from_click, photon_label
+from _oracles import label_from_click, photon_label, reference_match
 
 V_PLUS = 0b11   # V polarization, positive branch
 V_MINUS = 0b10
@@ -42,17 +43,34 @@ H_MINUS = 0b00
 
 
 def make_stream(rows):
-    return TagStream.from_records([TimeTagRecord(*row) for row in rows])
+    """A stream of (t_ps, channel, flags, pair_id) rows."""
+    return TagStream.from_fields(*(zip(*rows) if rows else ([],) * 4))
+
+
+def stream_rows(stream):
+    return [row[:4] for row in stream.array.tolist()]
+
+
+def coincidence_rows(coincidences):
+    """The matcher's rows with the reason spelled out, as the oracle writes them."""
+    return [(*row[:4], REJECT_REASONS[row[4]], *row[5:]) for row in coincidences.tolist()]
+
+
+def accepted_coincidences(n, tau_ps=0):
+    out = np.zeros(n, dtype=COINCIDENCE_DTYPE)
+    out["t2_ps"] = out["tau_si_ps"] = tau_ps
+    out["accepted"] = True
+    return out
 
 
 class TestWireFormat:
     def test_empty_stream_is_header_only(self):
-        data = encode_stream([])
+        data = encode_stream(make_stream([]))
         assert len(data) == HEADER_SIZE == 10
-        assert decode_stream(data) == TagStream.from_records([])
+        assert decode_stream(data) == make_stream([])
 
     def test_single_record_exact_bytes(self):
-        data = encode_stream([TimeTagRecord(1, 0, 0, 7)])
+        data = encode_stream(make_stream([(1, 0, 0, 7)]))
         assert len(data) == 26
         assert data[:8] == MAGIC
         assert data[8:10] == (1).to_bytes(2, "little")
@@ -61,8 +79,7 @@ class TestWireFormat:
         assert data[19] == 0  # flags
         assert data[20:24] == (7).to_bytes(4, "little")  # pair_id
         assert data[24:26] == b"\x00\x00"  # reserved
-        back = decode_stream(data).to_records()
-        assert back == [TimeTagRecord(1, 0, 0, 7)]
+        assert stream_rows(decode_stream(data)) == [(1, 0, 0, 7)]
 
     def test_bad_magic(self):
         with pytest.raises(BadMagicError):
@@ -75,12 +92,12 @@ class TestWireFormat:
             decode_stream(MAGIC + (2).to_bytes(2, "little"))
 
     def test_truncated_record(self):
-        data = encode_stream([TimeTagRecord(1, 0, 0, 7)])
+        data = encode_stream(make_stream([(1, 0, 0, 7)]))
         with pytest.raises(TruncatedRecordError):
             decode_stream(data[:-3])
 
     def test_timestamp_regression(self):
-        good = encode_stream([TimeTagRecord(100, 0, 0, 0), TimeTagRecord(50, 1, 0, 1)])
+        good = encode_stream(make_stream([(100, 0, 0, 0), (50, 1, 0, 1)]))
         assert len(decode_stream(good)) == 2  # regression across channels is fine
         raw = bytearray(good)
         raw[HEADER_SIZE + RECORD_SIZE + 8] = 0  # second record onto channel 0 -> regression
@@ -88,32 +105,33 @@ class TestWireFormat:
             decode_stream(bytes(raw))
 
     def test_encode_rejects_unsorted(self):
+        # a stream is validated when it is built, so there is none to encode
         with pytest.raises(TimestampOrderError):
-            encode_stream([TimeTagRecord(100, 0, 0, 0), TimeTagRecord(50, 0, 0, 1)])
+            encode_stream(make_stream([(100, 0, 0, 0), (50, 0, 0, 1)]))
 
     def test_unknown_channel_rejected(self):
         # a channel-7 click used to decode and match as a D1 click
-        records = [TimeTagRecord(1000, 7, V_MINUS, 1), TimeTagRecord(1400, 1, V_PLUS, 1)]
+        rows = [(1000, 7, V_MINUS, 1), (1400, 1, V_PLUS, 1)]
         with pytest.raises(UnknownChannelError):
-            encode_stream(records)
-        raw = bytearray(encode_stream([TimeTagRecord(1000, 0, V_MINUS, 1), TimeTagRecord(1400, 1, V_PLUS, 1)]))
+            encode_stream(make_stream(rows))
+        raw = bytearray(encode_stream(make_stream([(1000, 0, V_MINUS, 1), (1400, 1, V_PLUS, 1)])))
         raw[HEADER_SIZE + 8] = 7
         with pytest.raises(UnknownChannelError):
             decode_stream(bytes(raw))
         with pytest.raises(UnknownChannelError):
-            match_coincidences(make_stream([(1000, 7, V_MINUS, 1), (1400, 1, V_PLUS, 1)]), 1000)
+            match_coincidences(make_stream(rows), 1000)
 
     def test_timestamp_at_2_63_rejected(self):
         # a 20 ps pair straddling 2**63 used to wrap to a negative t2_ps
-        records = [TimeTagRecord(2**63 - 10, 0, V_MINUS, 1), TimeTagRecord(2**63 + 10, 1, V_PLUS, 1)]
+        rows = [(2**63 - 10, 0, V_MINUS, 1), (2**63 + 10, 1, V_PLUS, 1)]
         with pytest.raises(TimestampRangeError):
-            encode_stream(records)
-        raw = bytearray(encode_stream([TimeTagRecord(2**63 - 10, 0, V_MINUS, 1)]))
+            encode_stream(make_stream(rows))
+        raw = bytearray(encode_stream(make_stream([(2**63 - 10, 0, V_MINUS, 1)])))
         raw[HEADER_SIZE : HEADER_SIZE + 8] = (2**63).to_bytes(8, "little")
         with pytest.raises(TimestampRangeError):
             decode_stream(bytes(raw))
-        last = encode_stream([TimeTagRecord(2**63 - 1, 0, 0, 0)])  # the largest valid timestamp
-        assert decode_stream(last).to_records() == [TimeTagRecord(2**63 - 1, 0, 0, 0)]
+        last = encode_stream(make_stream([(2**63 - 1, 0, 0, 0)]))  # the largest valid timestamp
+        assert stream_rows(decode_stream(last)) == [(2**63 - 1, 0, 0, 0)]
 
     def test_roundtrip_1000_random_streams(self, rng):
         for _ in range(1000):
@@ -181,44 +199,41 @@ class TestLabelReconstruction:
 
 class TestMatcher:
     def test_empty(self):
-        assert match_coincidences(make_stream([]), 1000) == []
+        out = match_coincidences(make_stream([]), 1000)
+        assert len(out) == 0 and out.dtype == COINCIDENCE_DTYPE
 
     def test_documented_example(self):
         stream = make_stream([(1000, 0, V_MINUS, 1), (1400, 1, V_PLUS, 1)])
         out = match_coincidences(stream, 1000)
         assert len(out) == 1
-        rec = out[0]
-        assert rec.accepted and rec.tau_si_ps == 400
-        assert rec.reject_reason is RejectReason.NONE
+        assert coincidence_rows(out) == [(1000, 1400, 400, True, "none", 1, 1)]
 
     def test_out_of_window(self):
         stream = make_stream([(1000, 0, V_MINUS, 1), (2500, 1, V_PLUS, 1)])
         out = match_coincidences(stream, 1000)
-        assert len(out) == 1 and not out[0].accepted
-        assert out[0].reject_reason is RejectReason.OUT_OF_WINDOW
+        assert len(out) == 1 and not out["accepted"][0]
+        assert REJECT_REASONS[out["reason"][0]] == "out-of-window"
 
     def test_zero_window_exact_equality_only(self):
         stream = make_stream([(1000, 0, V_MINUS, 1), (1000, 1, V_PLUS, 1), (2000, 0, V_MINUS, 2), (2001, 1, V_PLUS, 2)])
         out = match_coincidences(stream, 0)
-        accepted = [r for r in out if r.accepted]
-        assert len(accepted) == 1 and accepted[0].t1_ps == 1000
+        assert out["t1_ps"][out["accepted"]].tolist() == [1000]
 
     def test_cross_polarization_rejected(self):
         stream = make_stream([(1000, 0, V_MINUS, 1), (1100, 1, H_PLUS, 1)])
         out = match_coincidences(stream, 1000)
-        assert not out[0].accepted
-        assert out[0].reject_reason is RejectReason.CROSS_POLARIZATION
+        assert not out["accepted"][0]
+        assert REJECT_REASONS[out["reason"][0]] == "cross-polarization"
 
     def test_same_detuning_rejected(self):
         stream = make_stream([(1000, 0, V_PLUS, 1), (1100, 1, V_PLUS, 1)])
         out = match_coincidences(stream, 1000)
-        assert out[0].reject_reason is RejectReason.SAME_DETUNING
+        assert REJECT_REASONS[out["reason"][0]] == "same-detuning"
 
     def test_nearest_tie_breaks_earlier(self):
         stream = make_stream([(1000, 0, V_MINUS, 5), (900, 1, V_PLUS, 4), (1100, 1, V_PLUS, 6)])
         out = match_coincidences(stream, 1000)
-        accepted = [r for r in out if r.accepted]
-        assert accepted[0].t2_ps == 900
+        assert out["t2_ps"][out["accepted"]].tolist() == [900]
 
     def test_accepted_clicks_consumed_once(self):
         stream = make_stream(
@@ -229,11 +244,10 @@ class TestMatcher:
             ]
         )
         out = match_coincidences(stream, 1000)
-        accepted = [r for r in out if r.accepted]
-        assert len(accepted) == 1
+        assert np.count_nonzero(out["accepted"]) == 1
 
     def test_unsorted_input_rejected(self):
-        arr = np.zeros(2, dtype=decode_stream(encode_stream([])).array.dtype)
+        arr = np.zeros(2, dtype=RECORD_DTYPE)
         arr[0] = (1000, 0, 0, 0, 0)
         arr[1] = (900, 0, 0, 0, 0)
         with pytest.raises(TimestampOrderError):
@@ -258,7 +272,30 @@ class TestMatcher:
         merged = np.concatenate(pieces)
         merged = merged[np.lexsort((merged["channel"], merged["t_ps"]))]
         chunked = match_coincidences(TagStream(merged), 1000)
-        assert chunked == whole
+        assert np.array_equal(chunked, whole)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0, 1, 2, 5, 50, 103, 104]),
+                st.integers(0, 1),
+                st.integers(0, 7),
+                st.integers(0, 3),
+            ),
+            max_size=60,
+        ),
+        st.sampled_from([0, 3, 100]),
+        st.sampled_from(["heterodyne", "inverted", "cross_port_only"]),
+    )
+    def test_matches_reference_matcher(self, rows, window_ps, rule_name):
+        # few distinct timestamps: many ties on both channels; the stable
+        # sort keeps the drawn order among equal timestamps
+        stream = make_stream(sorted(rows, key=lambda row: row[0]))
+        rule = getattr(SelectionRule, rule_name)()
+        expected = reference_match(stream.array, window_ps, rule.accepts)
+        got = match_coincidences(stream, window_ps, rule)
+        assert coincidence_rows(got) == [dataclasses.astuple(rec) for rec in expected]
 
 
 class TestSynthesizedStreams:
@@ -277,18 +314,18 @@ class TestSynthesizedStreams:
     def test_ground_truth_recovery(self):
         batch = sample_n_pairs(SourceConfig(seed=41), 100_000)
         stream = synthesize_stream(batch, seed=42)
-        records = match_coincidences(decode_stream(encode_stream(stream)), 1000)
-        accepted = [r for r in records if r.accepted]
-        assert all(r.pair_id_1 == r.pair_id_2 for r in accepted)
+        out = match_coincidences(decode_stream(encode_stream(stream)), 1000)
+        accepted = out[out["accepted"]]
+        joined = accepted["pair_id_1"] == accepted["pair_id_2"]
+        assert np.all(joined)
         truth = int(np.count_nonzero(batch.cross_mask & (batch.port1 != batch.port2)))
-        recovered = sum(1 for r in accepted if r.pair_id_1 == r.pair_id_2)
-        assert recovered / truth >= 0.999
+        assert np.count_nonzero(joined) / truth >= 0.999
 
     def test_accepted_fraction_matches_selection_efficiency(self):
         batch = sample_n_pairs(SourceConfig(seed=43), 50_000)
         stream = synthesize_stream(batch, seed=44)
-        accepted = [r for r in match_coincidences(stream, 1000) if r.accepted]
-        stream_fraction = len(accepted) / len(batch)
+        accepted = np.count_nonzero(match_coincidences(stream, 1000)["accepted"])
+        stream_fraction = accepted / len(batch)
         efficiency = selection_efficiency(batch)
         sigma = math.sqrt(0.25 * 0.75 / len(batch))
         assert abs(stream_fraction - efficiency) <= 3.0 * sigma
@@ -300,62 +337,63 @@ class TestSynthesizedStreams:
         # lone clicks of this configuration far below one per run
         batch = sample_n_pairs(SourceConfig(seed=45, rate=1e4), 50_000)
         stream = synthesize_stream(batch, eraser=eraser, seed=46)
-        accepted = [r for r in match_coincidences(stream, 1000) if r.accepted]
+        accepted = np.count_nonzero(match_coincidences(stream, 1000)["accepted"])
         expected = math.cos(eraser.xi + eraser.theta) ** 2 / 8.0
         sigma = math.sqrt(max(expected * (1 - expected), 1e-12) / len(batch))
-        assert abs(len(accepted) / len(batch) - expected) <= 4.0 * sigma
+        assert abs(accepted / len(batch) - expected) <= 4.0 * sigma
 
     def test_fixed_electronic_delay_shifts_d2(self):
         batch = sample_n_pairs(SourceConfig(seed=47), 5_000)
         cs = CoincidenceSetting(tau_si=5e-9)
         stream = synthesize_stream(batch, coincidence=cs, seed=48)
-        records = match_coincidences(stream, 10_000)
-        accepted = [r for r in records if r.accepted]
-        assert accepted and all(r.tau_si_ps == 5000 for r in accepted)
+        out = match_coincidences(stream, 10_000)
+        taus = out["tau_si_ps"][out["accepted"]]
+        assert len(taus) and np.all(taus == 5000)
 
 
 class TestHistogram:
     def test_empty(self):
-        hist = histogram_tau_si([], 100, 1000)
+        hist = histogram_tau_si(accepted_coincidences(0), 100, 1000)
         assert hist.counts.sum() == 0
         assert len(hist.counts) == 21
 
     def test_delta_at_zero_lands_centrally(self):
-        recs = [CoincidenceRecord(0, 0, 0, True, RejectReason.NONE)] * 50
-        hist = histogram_tau_si(recs, 100, 1000)
+        hist = histogram_tau_si(accepted_coincidences(50), 100, 1000)
         center = len(hist.counts) // 2
         assert hist.counts[center] == 50
         assert hist.counts.sum() == 50
         assert hist.bin_lo_ps[center] == -50.0 and hist.bin_hi_ps[center] == 50.0
 
     def test_rejects_bad_bins(self):
+        none = accepted_coincidences(0)
         with pytest.raises(ValueError):
-            histogram_tau_si([], 0, 1000)
+            histogram_tau_si(none, 0, 1000)
         with pytest.raises(ValueError):
-            histogram_tau_si([], -5, 1000)
+            histogram_tau_si(none, -5, 1000)
         with pytest.raises(ValueError):
-            histogram_tau_si([], 10, 0)
+            histogram_tau_si(none, 10, 0)
 
     def test_rejects_unaccepted_records(self):
-        rec = CoincidenceRecord(0, 0, 0, False, RejectReason.SAME_DETUNING)
+        rejected = accepted_coincidences(1)
+        rejected["accepted"] = False
+        rejected["reason"] = REJECT_REASONS.index("same-detuning")
         with pytest.raises(ValueError):
-            histogram_tau_si([rec], 100, 1000)
+            histogram_tau_si(rejected, 100, 1000)
 
     def test_jitter_envelope_decay(self):
         # the fitted decay must recover the generator's own tau_c / 2 law
         batch = sample_n_pairs(SourceConfig(seed=51, rate=1e5), 200_000)
         cs = CoincidenceSetting(tau_c=1e-6)
         stream = synthesize_stream(batch, coincidence=cs, jitter=True, seed=52)
-        accepted = [r for r in match_coincidences(stream, 10_000_000) if r.accepted]
-        hist = histogram_tau_si(accepted, 50_000, 8_000_000)
+        out = match_coincidences(stream, 10_000_000)
+        hist = histogram_tau_si(out[out["accepted"]], 50_000, 8_000_000)
         decay = fit_decay_ps(hist, min_count=50)
         assert decay == pytest.approx(0.5e6, rel=0.1)
 
 
 class TestCsvOutputs:
     def test_histogram_csv(self, tmp_path):
-        recs = [CoincidenceRecord(0, 40, 40, True, RejectReason.NONE)]
-        hist = histogram_tau_si(recs, 100, 300)
+        hist = histogram_tau_si(accepted_coincidences(1, tau_ps=40), 100, 300)
         out = tmp_path / "hist.csv"
         write_histogram_csv(hist, out)
         lines = out.read_text().splitlines()
@@ -363,10 +401,17 @@ class TestCsvOutputs:
         assert len(lines) == 1 + len(hist.counts)
 
     def test_coincidence_csv(self, tmp_path):
-        recs = [CoincidenceRecord(10, 20, 10, True, RejectReason.NONE, 1, 1)]
+        rows = np.array(
+            [(10, 20, 10, True, 0, 1, 1), (30, 25, -5, False, REJECT_REASONS.index("same-detuning"), 2, 3)],
+            dtype=COINCIDENCE_DTYPE,
+        )
         out = tmp_path / "c.csv"
-        write_coincidences_csv(recs, out)
-        assert out.read_text().splitlines()[1] == "10,20,10,1,none"
+        write_coincidences_csv(rows, out)
+        assert out.read_text().splitlines() == [
+            "t1_ps,t2_ps,tau_si_ps,accepted,reject_reason",
+            "10,20,10,1,none",
+            "30,25,-5,0,same-detuning",
+        ]
 
 
 class TestPerformance:
@@ -384,3 +429,23 @@ class TestPerformance:
                 match_coincidences(stream, 1000)
                 best[n] = min(best[n], time.perf_counter() - t0)
         assert best[120_000] < 2.0 * best[60_000] * 1.25
+
+    def test_matcher_all_accepted_scales_linearly(self):
+        # every D2 click is consumed: a matcher that walks over consumed
+        # clicks to find a free one is quadratic here
+        def stream_of(n):
+            t1 = 1000 * np.arange(n)
+            return TagStream.from_fields(
+                np.ravel([t1, t1 + 10], order="F"), np.tile([0, 1], n), np.tile([V_MINUS, V_PLUS], n), 0
+            )
+
+        assert np.all(match_coincidences(stream_of(2_000), 100)["accepted"])  # and warm-up
+        streams = {n: stream_of(n) for n in (20_000, 80_000)}
+        best = dict.fromkeys(streams, math.inf)
+        for _ in range(5):
+            for n, stream in streams.items():
+                t0 = time.perf_counter()
+                match_coincidences(stream, 100)
+                best[n] = min(best[n], time.perf_counter() - t0)
+        # linear is 4x, quadratic 16x
+        assert best[80_000] < 4.0 * best[20_000] * 1.5
