@@ -7,8 +7,6 @@ same observables.
 """
 
 from .optics import (
-    Path,
-    Port,
     aom_tag,
     bs_transform,
     field,
@@ -31,13 +29,10 @@ from .source import (
     DetuningGrid,
     GridMode,
     PairBatch,
-    PairClass,
-    PairEvent,
     SourceConfig,
     multi_pair_error_ratio,
     poisson_pair_probability,
     sample_n_pairs,
-    sample_pairs,
 )
 from .detection import (
     CoincidenceSetting,
@@ -46,7 +41,7 @@ from .detection import (
     SelectionRule,
     correlation_r,
     heterodyne_product,
-    outcome_distribution,
+    outcome_probabilities,
     selection_efficiency,
     visibility,
 )

@@ -18,14 +18,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from enum import Enum
-from typing import Iterable, Sequence, Union
+from enum import IntEnum
+from typing import Sequence
 
 import numpy as np
 
 from .interferometer import EraserSetting, PairSetting
-from .optics import FLAG_BRANCH_PLUS, FLAG_POL_V, N_SLOTS, TAG_BITS, Field, Path, Port
-from .source import PairBatch, PairEvent
+from .optics import FLAG_BRANCH_PLUS, FLAG_POL_V, N_SLOTS, TAG_BITS, Field
+from .source import PairBatch
 
 
 # A detected photon's mode tag is the low two bits of its CESIMTT1 flags
@@ -172,21 +172,23 @@ def correlation_r(setting: PairSetting, eraser: EraserSetting, coincidence: Coin
     return envelope * math.cos(eraser.xi + eraser.theta) ** 2
 
 
-class Outcome(Enum):
-    """Joint detection outcome classes of one generated pair."""
+class Outcome(IntEnum):
+    """Joint detection outcome classes of one generated pair, numbered in
+    the order the click synthesizer draws them."""
 
-    COINCIDENCE = "coincidence"                # one click each detector, rule-accepted
-    REJECTED_COINCIDENCE = "rejected-coincidence"  # one click each detector, rule-rejected
-    ONLY_D1 = "only-d1"
-    ONLY_D2 = "only-d2"
-    SAME_PORT_A = "same-port-a"
-    SAME_PORT_B = "same-port-b"
-    NO_CLICKS = "no-clicks"
+    COINCIDENCE = 0           # one click each detector, rule-accepted
+    REJECTED_COINCIDENCE = 1  # one click each detector, rule-rejected
+    ONLY_D1 = 2
+    ONLY_D2 = 3
+    NO_CLICKS = 4
+    SAME_PORT_A = 5
+    SAME_PORT_B = 6
 
 
-def outcome_probabilities(shared_path: Path | None, eraser: EraserSetting | None) -> dict[Outcome, float]:
-    """Outcome-class probabilities of a pair whose photons share the arm
-    ``shared_path``, or take different arms when it is None.
+def outcome_probabilities(shared_path: int | None, eraser: EraserSetting | None) -> tuple[float, ...]:
+    """Outcome-class probabilities, indexed by ``Outcome``, of a pair whose
+    photons share the arm ``shared_path`` (1 or 2), or take different arms
+    when it is None.
 
     Same-path pairs never produce an accepted cross-detector coincidence;
     cross-path pairs reach the accepted class with probability
@@ -194,31 +196,16 @@ def outcome_probabilities(shared_path: Path | None, eraser: EraserSetting | None
     weights sum to one exactly.
     """
     if eraser is None:
-        cross = shared_path is None
-        return {
-            Outcome.COINCIDENCE: 0.5 if cross else 0.0,
-            Outcome.REJECTED_COINCIDENCE: 0.0 if cross else 0.5,
-            Outcome.ONLY_D1: 0.0,
-            Outcome.ONLY_D2: 0.0,
-            Outcome.SAME_PORT_A: 0.25,
-            Outcome.SAME_PORT_B: 0.25,
-            Outcome.NO_CLICKS: 0.0,
-        }
+        if shared_path is None:
+            return (0.5, 0.0, 0.0, 0.0, 0.0, 0.25, 0.25)
+        return (0.0, 0.5, 0.0, 0.0, 0.0, 0.25, 0.25)
     if shared_path is None:
         # The two cross-port routes land in the same final mode pair and
         # add coherently; squaring the summed route amplitudes yields this split.
         c2 = math.cos(eraser.xi + eraser.theta) ** 2
         s2 = 1.0 - c2
-        return {
-            Outcome.COINCIDENCE: 0.25 * c2,
-            Outcome.REJECTED_COINCIDENCE: 0.0,
-            Outcome.ONLY_D1: 0.25 * s2,
-            Outcome.ONLY_D2: 0.25 * s2,
-            Outcome.SAME_PORT_A: 0.25,
-            Outcome.SAME_PORT_B: 0.25,
-            Outcome.NO_CLICKS: 0.25 * c2,
-        }
-    if shared_path is Path.PATH1:
+        return (0.25 * c2, 0.0, 0.25 * s2, 0.25 * s2, 0.25 * c2, 0.25, 0.25)
+    if shared_path == 1:
         t_a = math.sin(eraser.xi) ** 2
         t_b = math.cos(eraser.theta) ** 2
     else:
@@ -229,20 +216,7 @@ def outcome_probabilities(shared_path: Path | None, eraser: EraserSetting | None
     p_d2 = 0.5 * (1.0 - t_a) * t_b
     # complement keeps the class weights summing to exactly 1
     p_none = max(0.5 - p_rej - p_d1 - p_d2, 0.0)
-    return {
-        Outcome.COINCIDENCE: 0.0,
-        Outcome.REJECTED_COINCIDENCE: p_rej,
-        Outcome.ONLY_D1: p_d1,
-        Outcome.ONLY_D2: p_d2,
-        Outcome.SAME_PORT_A: 0.25,
-        Outcome.SAME_PORT_B: 0.25,
-        Outcome.NO_CLICKS: p_none,
-    }
-
-
-def outcome_distribution(event: PairEvent, eraser: EraserSetting | None) -> dict[Outcome, float]:
-    """Probabilities of the joint detection outcome classes for one pair."""
-    return outcome_probabilities(event.shared_path, eraser)
+    return (0.0, p_rej, p_d1, p_d2, p_none, 0.25, 0.25)
 
 
 def accepted_route_split(eraser: EraserSetting) -> float:
@@ -252,18 +226,16 @@ def accepted_route_split(eraser: EraserSetting) -> float:
     return 0.5 if w1 + w2 == 0 else w1 / (w1 + w2)
 
 
-def lone_click_route_split(eraser: EraserSetting, port: Port) -> float:
-    """P(the arm-1 photon sits at port A | exactly one cross-port click)."""
-    if port is Port.A:
+def lone_click_route_split(eraser: EraserSetting, port: int) -> float:
+    """P(the arm-1 photon sits at port A | exactly one cross-port click, at
+    ``port`` 0 (A) or 1 (B))."""
+    if port == 0:
         w1 = (math.sin(eraser.xi) * math.cos(eraser.theta)) ** 2
         w2 = (math.cos(eraser.xi) * math.sin(eraser.theta)) ** 2
     else:
         w1 = (math.cos(eraser.xi) * math.sin(eraser.theta)) ** 2
         w2 = (math.sin(eraser.xi) * math.cos(eraser.theta)) ** 2
     return 0.5 if w1 + w2 == 0 else w1 / (w1 + w2)
-
-
-EventsLike = Union[PairBatch, Iterable[PairEvent]]
 
 
 def _pair_state(route1, route2, port1, port2, sign):
@@ -276,24 +248,16 @@ def _pair_accepted(route1, route2, port1, port2, sign, rule: SelectionRule) -> b
     if port1 == port2:
         return False
     tag1, tag2 = mode_tag(route1, port1, sign), mode_tag(route2, port2, sign)
-    return rule.accepts(tag1, tag2) if port1 == Port.A.value else rule.accepts(tag2, tag1)
+    return rule.accepts(tag1, tag2) if port1 == 0 else rule.accepts(tag2, tag1)
 
 
-def selection_efficiency(events: EventsLike, rule: SelectionRule | None = None) -> float:
+def selection_efficiency(batch: PairBatch, rule: SelectionRule | None = None) -> float:
     """Fraction of generated pairs in the rule-accepted class, before any
     analyzer.  With the heterodyne rule the expectation is 1/4: half of
     the pairs split across the arms and half of those exit distinct ports.
     """
     rule = rule or _HETERODYNE
-    if isinstance(events, PairBatch):
-        states = _pair_state(
-            events.route1, events.route2, events.port1, events.port2, events.orientation_sign
-        )
-    else:
-        states = [
-            _pair_state(ev.route1.value, ev.route2.value, ev.port1.value, ev.port2.value, ev.orientation.sign)
-            for ev in events
-        ]
+    states = _pair_state(batch.route1, batch.route2, batch.port1, batch.port2, batch.orientation_sign)
     counts = np.bincount(np.asarray(states, dtype=np.intp), minlength=32)
     n = int(counts.sum())
     if n == 0:

@@ -44,7 +44,6 @@ from .detection import (
     outcome_probabilities,
 )
 from .interferometer import EraserSetting
-from .optics import Path, Port
 from .source import PairBatch
 
 MAGIC = b"CESIMTT1"
@@ -407,29 +406,18 @@ def synthesize_stream(
     u_m2 = rng.random(n)
 
     cross = batch.cross_mask
-    cls = np.full(n, -1, dtype=np.int64)
-    order = (
-        Outcome.COINCIDENCE,
-        Outcome.REJECTED_COINCIDENCE,
-        Outcome.ONLY_D1,
-        Outcome.ONLY_D2,
-        Outcome.NO_CLICKS,
-        Outcome.SAME_PORT_A,
-        Outcome.SAME_PORT_B,
-    )
+    cls = np.full(n, -1, dtype=np.int64)  # an Outcome per pair
 
     def classify(mask, shared_path):
-        dist = outcome_probabilities(shared_path, eraser)
-        probs = np.array([dist[o] for o in order])
-        edges = np.cumsum(probs)[:-1]
+        edges = np.cumsum(outcome_probabilities(shared_path, eraser))[:-1]
         cls[mask] = np.searchsorted(edges, u_class[mask], side="right")
 
     classify(cross, None)
-    classify(~cross & (batch.route1 == 1), Path.PATH1)
-    classify(~cross & (batch.route1 == 2), Path.PATH2)
+    classify(~cross & (batch.route1 == 1), 1)
+    classify(~cross & (batch.route1 == 2), 2)
 
     def cls_idx(outcome, extra_mask=None):
-        m = cls == order.index(outcome)
+        m = cls == outcome
         if extra_mask is not None:
             m &= extra_mask
         return np.flatnonzero(m)
@@ -453,7 +441,7 @@ def synthesize_stream(
     # port is detected
     for outcome, channel in ((Outcome.ONLY_D1, 0), (Outcome.ONLY_D2, 1)):
         idx = cls_idx(outcome, cross)
-        arm1_at_a = u_route[idx] < lone_click_route_split(eraser, Port(channel))
+        arm1_at_a = u_route[idx] < lone_click_route_split(eraser, channel)
         emit(idx[arm1_at_a], channel, 1 if channel == 0 else 2)
         emit(idx[~arm1_at_a], channel, 2 if channel == 0 else 1)
         for path_value in (1, 2):

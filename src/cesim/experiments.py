@@ -2,9 +2,9 @@
 
 Every runner can evaluate its observables analytically (through the
 amplitude machinery, so the detuning phases really enter and cancel),
-stochastically (event-level draws), or both. In ``BOTH`` mode each row
-carries the discrepancy in units of the Monte Carlo standard error and the
-runner raises if any row disagrees beyond three sigma.
+stochastically (event-level draws), or both. In ``BOTH`` mode the runner
+raises if any cell (for CHSH, S) disagrees beyond three Monte Carlo
+standard errors; the fig2a/fig2b rows also carry that discrepancy.
 
 CSV output is UTF-8, comma separated, '.' decimal marker, floats at 17
 significant digits; identical inputs produce byte-identical files.
@@ -344,34 +344,37 @@ def run_dephasing(
     rng = np.random.default_rng(cfg.seed)
     detunings = sample_law.sample(rng, n_samples)
 
+    analytic = cfg.mode in (RunMode.ANALYTIC, RunMode.BOTH)
+    mc = cfg.mode in (RunMode.MC, RunMode.BOTH)
     columns = ["tau_s"]
-    rows: list[list] = [[float(tau)] for tau in tau_values]
-    means = []
+    if analytic:
+        columns += ["mean_i_s", "mean_i_i"]
+    if mc:
+        columns += ["mean_i_s_mc", "mean_i_i_mc"]
+    rows = []
+    bad = []
     for tau in tau_values:
         phi = pair_phase(detunings, float(tau))
         i_s, i_i = port_intensities(eraser.xi, eraser.theta, phi)
-        means.append((float(np.mean(i_s)), float(np.mean(i_i))))
-    if cfg.mode in (RunMode.ANALYTIC, RunMode.BOTH):
-        columns.extend(["mean_i_s", "mean_i_i"])
-        for row, m in zip(rows, means):
-            row.extend(m)
-    if cfg.mode in (RunMode.MC, RunMode.BOTH):
-        columns.extend(["mean_i_s_mc", "mean_i_i_mc"])
-        bad = []
-        for row, tau, m in zip(rows, tau_values, means):
-            phi = pair_phase(detunings, float(tau))
-            i_s, i_i = port_intensities(eraser.xi, eraser.theta, phi)
-            clicks_s = float(np.count_nonzero(rng.random(n_samples) < i_s)) / n_samples
-            clicks_i = float(np.count_nonzero(rng.random(n_samples) < i_i)) / n_samples
-            row.extend([clicks_s, clicks_i])
+        means = (float(np.mean(i_s)), float(np.mean(i_i)))
+        row = [float(tau)]
+        if analytic:
+            row.extend(means)
+        if mc:
+            clicks = (
+                float(np.count_nonzero(rng.random(n_samples) < i_s)) / n_samples,
+                float(np.count_nonzero(rng.random(n_samples) < i_i)) / n_samples,
+            )
+            row.extend(clicks)
             if cfg.mode is RunMode.BOTH:
-                for p, est in zip(m, (clicks_s, clicks_i)):
+                for p, est in zip(means, clicks):
                     sigma = math.sqrt(max(p * (1 - p), 1e-300) / n_samples)
                     if abs(est - p) > 3.0 * sigma:
                         bad.append((float(tau), p, est))
-        if bad:
-            raise SelfCheckError(f"{len(bad)} dephasing cell(s) disagree beyond 3 sigma")
-    return Table(tuple(columns), [tuple(r) for r in rows])
+        rows.append(tuple(row))
+    if bad:
+        raise SelfCheckError(f"{len(bad)} dephasing cell(s) disagree beyond 3 sigma")
+    return Table(tuple(columns), rows)
 
 
 CANONICAL_CHSH_DEG = (0.0, 45.0, -22.5, -67.5)

@@ -15,6 +15,8 @@ Conventions, fixed once for the whole package:
 - The polarizing splitter routes the V component of arm 1 to port A with a
   sign flip and its H component to port B; arm 2 sends H to port A and V
   to port B.
+- Port A feeds detector D1 and port B feeds D2; a port is stored as the
+  detector channel, 0 for A and 1 for B.
 - Analyzer angles are radians. The transmission axis at angle ``a`` has
   projection cos(a) on H and sin(a) on V.
 
@@ -26,7 +28,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from enum import Enum
 from typing import Mapping
 
 SQRT_HALF = math.sqrt(0.5)
@@ -38,23 +39,6 @@ TAG_BITS = FLAG_BRANCH_PLUS | FLAG_POL_V
 N_SLOTS = 8
 
 Field = tuple[complex, ...]
-
-
-class Path(Enum):
-    """Interferometer arm of origin."""
-
-    PATH1 = 1
-    PATH2 = 2
-
-    def other(self) -> "Path":
-        return Path.PATH2 if self is Path.PATH1 else Path.PATH1
-
-
-class Port(Enum):
-    """Polarizing-splitter output port. Port A feeds D1, port B feeds D2."""
-
-    A = 0
-    B = 1
 
 
 def field(amplitudes: Mapping[int, complex] | None = None) -> Field:

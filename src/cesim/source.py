@@ -20,9 +20,6 @@ from enum import Enum
 
 import numpy as np
 
-from .interferometer import Orientation
-from .optics import Path, Port
-
 
 def poisson_pair_probability(mu: float) -> float:
     """Probability that an emission window holds exactly two photons."""
@@ -102,7 +99,6 @@ class DetuningGrid:
 class SourceConfig:
     mu: float = 0.1
     rate: float = 1.0e6
-    duration: float = 1.0
     delta_big: float = 1.0e6
     grid: DetuningGrid | None = None
     seed: int = 0
@@ -113,8 +109,6 @@ class SourceConfig:
             raise ValueError("mu must be positive")
         if not math.isfinite(self.rate) or self.rate <= 0:
             raise ValueError("rate must be positive")
-        if not math.isfinite(self.duration) or self.duration <= 0:
-            raise ValueError("duration must be positive")
         if not math.isfinite(self.delta_big) or self.delta_big <= 0:
             raise ValueError("delta_big must be positive")
         if self.laser_linewidth < 0 or not math.isfinite(self.laser_linewidth):
@@ -136,55 +130,21 @@ class SourceConfig:
         return self.rate * poisson_pair_probability(self.mu)
 
 
-class PairClass(Enum):
-    SAME_PATH = "same-path"
-    CROSS_PATH = "cross-path"
-
-
-@dataclass(frozen=True, slots=True)
-class PairEvent:
-    """One generated photon pair with its ground-truth routing."""
-
-    pair_id: int
-    delta_f: float
-    orientation: Orientation
-    route1: Path
-    route2: Path
-    port1: Port
-    port2: Port
-    t_emit_ps: int
-
-    @property
-    def cross_path(self) -> bool:
-        return self.route1 is not self.route2
-
-    @property
-    def pair_class(self) -> PairClass:
-        return PairClass.CROSS_PATH if self.cross_path else PairClass.SAME_PATH
-
-    @property
-    def shared_path(self) -> Path | None:
-        return None if self.cross_path else self.route1
-
-    @property
-    def t_emit(self) -> float:
-        return self.t_emit_ps * 1e-12
-
-
-_PATHS = (Path.PATH1, Path.PATH2)
-_PORTS = (Port.A, Port.B)
-
-
 @dataclass(slots=True)
 class PairBatch:
-    """Column-wise batch of pair events (numpy arrays, one row per pair)."""
+    """Column-wise batch of pair events (numpy arrays, one row per pair).
+
+    The routing columns hold the integers the rest of the pipeline indexes
+    by: a route is the arm of origin, 1 or 2, and a port is the detector
+    channel the photon would reach, 0 (port A, D1) or 1 (port B, D2).
+    """
 
     pair_id: np.ndarray       # uint32
     delta_f: np.ndarray       # float64, signed sample from the detuning law
     orientation_sign: np.ndarray  # int8, +1 if arm 1 carries the positive branch
     route1: np.ndarray        # uint8, 1 or 2
     route2: np.ndarray        # uint8
-    port1: np.ndarray         # uint8, 0 = port A, 1 = port B
+    port1: np.ndarray         # uint8, 0 = port A (D1), 1 = port B (D2)
     port2: np.ndarray         # uint8
     t_emit_ps: np.ndarray     # uint64
 
@@ -195,25 +155,14 @@ class PairBatch:
     def cross_mask(self) -> np.ndarray:
         return self.route1 != self.route2
 
-    def event(self, i: int) -> PairEvent:
-        return PairEvent(
-            pair_id=int(self.pair_id[i]),
-            delta_f=float(self.delta_f[i]),
-            orientation=Orientation.PLUS_MINUS if self.orientation_sign[i] > 0 else Orientation.MINUS_PLUS,
-            route1=_PATHS[int(self.route1[i]) - 1],
-            route2=_PATHS[int(self.route2[i]) - 1],
-            port1=_PORTS[int(self.port1[i])],
-            port2=_PORTS[int(self.port2[i])],
-            t_emit_ps=int(self.t_emit_ps[i]),
-        )
 
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self.event(i)
-
-
-def _draw_fields(rng: np.random.Generator, cfg: SourceConfig, t_emit_s: np.ndarray) -> PairBatch:
-    n = len(t_emit_s)
+def sample_n_pairs(cfg: SourceConfig, n: int) -> PairBatch:
+    """Exactly ``n`` pair events with exponential inter-emission times."""
+    if n < 0:
+        raise ValueError("pair count must be non-negative")
+    rng = np.random.default_rng(cfg.seed)
+    gaps = rng.exponential(1.0 / cfg.pair_rate, n)
+    t_emit_s = np.cumsum(gaps)
     delta_f = cfg.effective_grid.sample(rng, n)
     orientation = (rng.integers(0, 2, n, dtype=np.int8) * 2 - 1).astype(np.int8)
     route1 = rng.integers(1, 3, n, dtype=np.uint8)
@@ -230,26 +179,3 @@ def _draw_fields(rng: np.random.Generator, cfg: SourceConfig, t_emit_s: np.ndarr
         port2=port2,
         t_emit_ps=np.rint(t_emit_s * 1e12).astype(np.uint64),
     )
-
-
-def sample_pairs(cfg: SourceConfig) -> PairBatch:
-    """All pair events inside ``cfg.duration`` seconds.
-
-    The pair count is Poisson with mean pair_rate * duration and the
-    emission times are uniform over the window, which realizes a Poisson
-    process at the thinned rate.
-    """
-    rng = np.random.default_rng(cfg.seed)
-    n = int(rng.poisson(cfg.pair_rate * cfg.duration))
-    t_emit = np.sort(rng.uniform(0.0, cfg.duration, n))
-    return _draw_fields(rng, cfg, t_emit)
-
-
-def sample_n_pairs(cfg: SourceConfig, n: int) -> PairBatch:
-    """Exactly ``n`` pair events with exponential inter-emission times."""
-    if n < 0:
-        raise ValueError("pair count must be non-negative")
-    rng = np.random.default_rng(cfg.seed)
-    gaps = rng.exponential(1.0 / cfg.pair_rate, n)
-    t_emit = np.cumsum(gaps)
-    return _draw_fields(rng, cfg, t_emit)

@@ -6,12 +6,10 @@ import pytest
 from cesim.source import (
     DetuningGrid,
     GridMode,
-    PairClass,
     SourceConfig,
     multi_pair_error_ratio,
     poisson_pair_probability,
     sample_n_pairs,
-    sample_pairs,
 )
 
 from _oracles import poisson_tail_ratio
@@ -65,8 +63,6 @@ class TestSourceConfig:
         with pytest.raises(ValueError):
             SourceConfig(rate=-1.0)
         with pytest.raises(ValueError):
-            SourceConfig(duration=0.0)
-        with pytest.raises(ValueError):
             SourceConfig(delta_big=0.0)
 
     def test_broad_laser_warns(self):
@@ -117,15 +113,6 @@ class TestSampling:
         # the variance estimator scatters with sd ~ sqrt(8/n) * mean^2
         assert abs(var - mean**2) < 3.0 * math.sqrt(8.0 / n) * mean**2
 
-    def test_duration_mode_rate(self):
-        cfg = SourceConfig(seed=8, duration=10.0)
-        batch = sample_pairs(cfg)
-        expected = cfg.pair_rate * cfg.duration
-        assert abs(len(batch) - expected) < 4.0 * math.sqrt(expected)
-        assert batch.t_emit_ps.max() <= 10.0e12
-        t = batch.t_emit_ps.astype(np.int64)
-        assert np.all(np.diff(t) >= 0)
-
     def test_choices_pairwise_uncorrelated(self):
         batch = sample_n_pairs(SourceConfig(seed=90), 100_000)
         n = len(batch)
@@ -140,13 +127,3 @@ class TestSampling:
             for j in range(i + 1, len(columns)):
                 r = np.corrcoef(columns[i], columns[j])[0, 1]
                 assert abs(r) < 3.0 / math.sqrt(n)
-
-    def test_event_view(self):
-        batch = sample_n_pairs(SourceConfig(seed=10), 50)
-        ev = batch.event(7)
-        assert ev.pair_id == 7
-        assert ev.cross_path == (ev.route1 is not ev.route2)
-        assert ev.pair_class in (PairClass.SAME_PATH, PairClass.CROSS_PATH)
-        assert (ev.shared_path is None) == ev.cross_path
-        assert ev.t_emit == pytest.approx(ev.t_emit_ps * 1e-12)
-        assert len(list(batch)) == 50
