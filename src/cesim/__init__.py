@@ -16,7 +16,6 @@ from .optics import (
 )
 from .interferometer import (
     EraserSetting,
-    Orientation,
     PairSetting,
     eraser_amplitudes,
     eraser_intensity,
@@ -27,10 +26,8 @@ from .interferometer import (
 )
 from .source import (
     DetuningGrid,
-    GridMode,
     PairBatch,
     SourceConfig,
-    multi_pair_error_ratio,
     poisson_pair_probability,
     sample_n_pairs,
 )
@@ -39,11 +36,9 @@ from .detection import (
     CorrelationEstimate,
     Outcome,
     SelectionRule,
-    correlation_r,
     heterodyne_product,
     outcome_probabilities,
     selection_efficiency,
-    visibility,
 )
 from .eventstream import (
     COINCIDENCE_DTYPE,

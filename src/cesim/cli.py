@@ -24,7 +24,7 @@ from . import eventstream, experiments
 from .detection import CoincidenceSetting, selection_efficiency
 from .experiments import ExperimentConfig, RunMode, SelfCheckError, Table, emit_csv
 from .interferometer import EraserSetting
-from .source import DetuningGrid, GridMode, SourceConfig, sample_n_pairs
+from .source import DetuningGrid, SourceConfig, sample_n_pairs
 
 ENV_SEED = "CESIM_SEED"
 
@@ -42,7 +42,10 @@ SUBCOMMANDS = {
 
 
 def _truthy(text: str) -> bool:
-    return str(text).strip().lower() in ("1", "true", "yes", "on")
+    word = str(text).strip().lower()
+    if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise ValueError(f"not a yes/no value: {text!r}")
+    return word in ("1", "true", "yes", "on")
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,7 +183,17 @@ def parse_args(argv=None) -> CliInvocation:
     for key, value in cli_values.items():
         if value is not None:
             options[key.replace("_", "-")] = value
+    if options["seed"] < 0:
+        raise CliError(f"seed must be non-negative, got {options['seed']}")
     return CliInvocation(subcommand, options)
+
+
+def _build(make, **fields):
+    """``make(**fields)``, with a ValueError reported as a CliError."""
+    try:
+        return make(**fields)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
 
 
 def _parse_grid(text: str | None) -> DetuningGrid | None:
@@ -193,14 +206,12 @@ def _parse_grid(text: str | None) -> DetuningGrid | None:
         lo, hi, step = (float(p) for p in parts)
     except ValueError as exc:
         raise CliError(f"--grid expects numeric LO:HI:STEP, got {text!r}") from exc
-    try:
-        return DetuningGrid(GridMode.GRID, lo, hi, step)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    return _build(DetuningGrid, lo=lo, hi=hi, step=step)
 
 
 def _experiment_config(options: dict) -> ExperimentConfig:
-    return ExperimentConfig(
+    return _build(
+        ExperimentConfig,
         delta_big=options["delta-hz"],
         grid=_parse_grid(options["grid"]),
         tau=options["tau-s"],
@@ -214,7 +225,7 @@ def _experiment_config(options: dict) -> ExperimentConfig:
 def _eraser(options: dict, default_xi=45.0, default_theta=45.0) -> EraserSetting:
     xi = options["xi-deg"] if options["xi-deg"] is not None else default_xi
     theta = options["theta-deg"] if options["theta-deg"] is not None else default_theta
-    return EraserSetting(math.radians(xi), math.radians(theta))
+    return _build(EraserSetting, xi=math.radians(xi), theta=math.radians(theta))
 
 
 def _deliver(table: Table, options: dict) -> None:
@@ -237,7 +248,7 @@ def _cmd_local(options: dict) -> int:
 def _cmd_correlation(options: dict) -> int:
     cfg = _experiment_config(options)
     eraser = _eraser(options, default_xi=0.0, default_theta=0.0)
-    cs = CoincidenceSetting.for_bandwidth(cfg.delta_big, tau_si=options["tau-si-s"])
+    cs = _build(CoincidenceSetting.for_bandwidth, delta_big=cfg.delta_big, tau_si=options["tau-si-s"])
     setting = experiments.setting_for(cfg.delta_big, cfg.tau)
     value = experiments.analytic_r(setting, eraser, cs, raw=cfg.raw_values)
     print(f"R_normalized = {format(value, '.17g')}")
@@ -274,7 +285,7 @@ def _cmd_dephasing(options: dict) -> int:
 def _cmd_chsh(options: dict) -> int:
     cfg = _experiment_config(options)
     angles = (options["a-deg"], options["a2-deg"], options["b-deg"], options["b2-deg"])
-    result = experiments.run_chsh(cfg, angles_deg=angles, tau_si=options["tau-si-s"])
+    result = _build(experiments.run_chsh, cfg=cfg, angles_deg=angles, tau_si=options["tau-si-s"])
     _deliver(result.table, options)
     print(f"S = {format(result.s_analytic, '.17g')}")
     if result.s_mc is not None:
@@ -285,8 +296,11 @@ def _cmd_chsh(options: dict) -> int:
 def _cmd_events_generate(options: dict) -> int:
     if options["out"] is None:
         raise CliError("events-generate needs --out")
+    if options["pairs"] <= 0:
+        raise CliError("events-generate needs --pairs above 0")
     grid = _parse_grid(options["grid"])
-    src = SourceConfig(
+    src = _build(
+        SourceConfig,
         mu=options["mu"],
         rate=options["rate"],
         delta_big=options["delta-hz"],
@@ -297,7 +311,7 @@ def _cmd_events_generate(options: dict) -> int:
     eraser = None
     if options["xi-deg"] is not None or options["theta-deg"] is not None:
         eraser = _eraser(options, default_xi=0.0, default_theta=0.0)
-    cs = CoincidenceSetting.for_bandwidth(options["delta-hz"], tau_si=options["tau-si-s"])
+    cs = _build(CoincidenceSetting.for_bandwidth, delta_big=src.delta_big, tau_si=options["tau-si-s"])
     stream = eventstream.synthesize_stream(
         batch, eraser=eraser, coincidence=cs, jitter=bool(options["jitter"]),
         seed=np.random.SeedSequence(options["seed"]).spawn(1)[0],

@@ -19,11 +19,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Sequence
 
 import numpy as np
 
-from .interferometer import EraserSetting, PairSetting
+from .interferometer import EraserSetting
 from .optics import FLAG_BRANCH_PLUS, FLAG_POL_V, N_SLOTS, TAG_BITS, Field
 from .source import PairBatch
 
@@ -84,30 +83,19 @@ _HETERODYNE = SelectionRule.heterodyne()
 
 @dataclass(frozen=True, slots=True)
 class CoincidenceSetting:
-    """Electronic side of the coincidence measurement.
-
-    tau_si is the fixed delay between the two detector pulses, tau_c the
-    ensemble coherence time (the inverse modulation bandwidth by default)
-    and gate_window the matcher acceptance window.  The detector resolving
-    time must stay below the gate window for the gating to mean anything.
-    """
+    """Electronic side of the coincidence measurement: tau_si is the fixed
+    delay between the two detector pulses, tau_c the ensemble coherence
+    time (the inverse modulation bandwidth by default).  The acceptance
+    window is the matcher's integer ``window_ps``."""
 
     tau_si: float = 0.0
     tau_c: float = 1.0e-6
-    gate_window: float = 1.0e-9
-    resolving_time: float = 1.0e-10
 
     def __post_init__(self):
         if not math.isfinite(self.tau_si) or self.tau_si < 0:
             raise ValueError("tau_si must be finite and non-negative")
         if not math.isfinite(self.tau_c) or self.tau_c <= 0:
             raise ValueError("tau_c must be positive")
-        if not math.isfinite(self.gate_window) or self.gate_window <= 0:
-            raise ValueError("gate window must be positive")
-        if not math.isfinite(self.resolving_time) or self.resolving_time <= 0:
-            raise ValueError("resolving time must be positive")
-        if self.resolving_time >= self.gate_window:
-            raise ValueError("detector resolving time must be shorter than the gate window")
 
     @classmethod
     def for_bandwidth(cls, delta_big: float, **kwargs) -> "CoincidenceSetting":
@@ -158,18 +146,6 @@ def heterodyne_product(e_s: Field, e_i: Field, rule: SelectionRule | None = None
                 if rule.accepts(k & TAG_BITS, tag_b):
                     total += amp_a * amp_b
     return total
-
-
-def correlation_r(setting: PairSetting, eraser: EraserSetting, coincidence: CoincidenceSetting) -> float:
-    """Normalized joint correlation: exp(-2 tau_si / tau_c) cos^2(xi + theta).
-
-    Normalized so the zero-delay, aligned-analyzer value is 1; independent
-    of the pair's detuning and orientation (the branch phase is a common
-    factor of the surviving terms and cancels in the modulus).
-    """
-    del setting  # detuning independence is the point; the signature keeps the knob visible
-    envelope = math.exp(-2.0 * coincidence.tau_si / coincidence.tau_c)
-    return envelope * math.cos(eraser.xi + eraser.theta) ** 2
 
 
 class Outcome(IntEnum):
@@ -280,23 +256,3 @@ def sample_coincidence_counts(
     p_accept = outcome_probabilities(None, eraser)[Outcome.COINCIDENCE]
     hits = rng.random(n_cross) < p_accept
     return n_cross, int(np.count_nonzero(hits))
-
-
-def visibility(series: Sequence) -> float:
-    """Fringe contrast (max - min) / (max + min) of a sampled series.
-
-    Accepts (setting, value) pairs or bare values; needs at least two
-    samples and a nonzero extremal sum.
-    """
-    values = []
-    for item in series:
-        if isinstance(item, (tuple, list)) and len(item) == 2:
-            values.append(float(item[1]))
-        else:
-            values.append(float(item))
-    if len(values) < 2:
-        raise ValueError("visibility needs at least two samples")
-    hi, lo = max(values), min(values)
-    if hi + lo == 0:
-        raise ValueError("visibility is undefined for an all-zero series")
-    return (hi - lo) / (hi + lo)

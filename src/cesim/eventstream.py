@@ -162,7 +162,10 @@ def decode_stream(data: bytes) -> TagStream:
         raise TruncatedRecordError(
             f"stream body of {len(body)} bytes is not a whole number of {RECORD_SIZE}-byte records"
         )
-    return TagStream(np.frombuffer(body, dtype=RECORD_DTYPE).copy())
+    array = np.frombuffer(body, dtype=RECORD_DTYPE).copy()
+    array["flags"] &= TAG_BITS  # the reserved bits are ignored on read
+    array["reserved"] = 0
+    return TagStream(array)
 
 
 # One row per D1 click that meets a D2 click; ``reason`` indexes REJECT_REASONS.
@@ -332,33 +335,6 @@ def fit_decay_ps(hist: TauHistogram, min_count: int = 10) -> float:
     return -1.0 / slope
 
 
-class _ClickBuffer:
-    def __init__(self):
-        self.t: list[np.ndarray] = []
-        self.ch: list[np.ndarray] = []
-        self.fl: list[np.ndarray] = []
-        self.id: list[np.ndarray] = []
-
-    def add(self, t, channel, tags, pair_id):
-        n = len(t)
-        if n == 0:
-            return
-        self.t.append(np.asarray(t, dtype=np.int64))
-        self.ch.append(np.full(n, channel, dtype=np.uint8))
-        self.fl.append(np.asarray(tags, dtype=np.uint8))
-        self.id.append(np.asarray(pair_id, dtype=np.uint32))
-
-    def build(self) -> TagStream:
-        if not self.t:
-            return TagStream(np.zeros(0, dtype=RECORD_DTYPE))
-        t = np.concatenate(self.t)
-        ch = np.concatenate(self.ch)
-        fl = np.concatenate(self.fl)
-        pid = np.concatenate(self.id)
-        order = np.lexsort((ch, t))
-        return TagStream.from_fields(t[order].astype(np.uint64), ch[order], fl[order], pid[order])
-
-
 def synthesize_stream(
     batch: PairBatch,
     eraser: EraserSetting | None = None,
@@ -384,21 +360,42 @@ def synthesize_stream(
     delay_ps = np.rint(delay_s * 1e12).astype(np.int64)
 
     s1 = batch.orientation_sign.astype(np.int8)  # branch sign of arm 1
-    buf = _ClickBuffer()
 
-    # The order of the emit calls fixes the order of clicks that share a
+    # Each photon clicks at most once, so 2 * n rows hold every click.  They
+    # fill in emit order, which fixes the order of clicks that share a
     # timestamp and a channel, and with it the stream's bytes.
+    key = np.empty(2 * n, dtype=np.uint64)  # (t_ps << 1) | channel
+    tags = np.empty(2 * n, dtype=np.uint8)
+    pair_id = np.empty(2 * n, dtype=np.uint32)
+    filled = 0
+
     def emit(idx, channel, route):
         """Clicks at detector ``channel`` of the photons from arm ``route``."""
+        nonlocal filled
         t = t_emit[idx] + (delay_ps[idx] if channel == 1 else 0)
-        buf.add(t, channel, mode_tag(route, channel, s1[idx]), batch.pair_id[idx])
+        if np.any(t < 0):  # wrapped around the int64 range
+            raise TimestampRangeError("timestamp at or above 2**63 ps")
+        rows = slice(filled, filled + len(idx))
+        key[rows] = (t.astype(np.uint64) << 1) | channel
+        tags[rows] = mode_tag(route, channel, s1[idx])
+        pair_id[rows] = batch.pair_id[idx]
+        filled = rows.stop
+
+    def build() -> TagStream:
+        # Below 2**63, t_ps << 1 fits the unsigned key, whose order is time,
+        # then D1 before D2; the stable sort keeps emit order within a tie.
+        order = np.argsort(key[:filled], kind="stable")
+        sorted_key = key[order]
+        channel = (sorted_key & 1).astype(np.uint8)
+        sorted_key >>= 1
+        return TagStream.from_fields(sorted_key, channel, tags[order], pair_id[order])
 
     if eraser is None:
         for route, port in ((batch.route1, batch.port1), (batch.route2, batch.port2)):
             for channel in (0, 1):
                 idx = np.flatnonzero(port == channel)
                 emit(idx, channel, route[idx])
-        return buf.build()
+        return build()
 
     u_class = rng.random(n)
     u_route = rng.random(n)
@@ -461,7 +458,7 @@ def synthesize_stream(
             passed = idx[u_m[idx] < p_pass]
             emit(passed, channel, route[passed])
 
-    return buf.build()
+    return build()
 
 
 def write_histogram_csv(hist: TauHistogram, path) -> None:

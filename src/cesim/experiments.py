@@ -28,7 +28,6 @@ from .detection import (
 )
 from .interferometer import (
     EraserSetting,
-    Orientation,
     PairSetting,
     eraser_amplitudes,
     eraser_intensity,
@@ -61,16 +60,16 @@ class ExperimentConfig:
     raw_values: bool = False
 
     def __post_init__(self):
+        if not math.isfinite(self.delta_big) or self.delta_big <= 0:
+            raise ValueError("delta_big must be positive")
+        if not math.isfinite(self.tau):
+            raise ValueError("tau must be finite")
         if self.n_pairs <= 0:
             raise ValueError("n_pairs must be positive")
 
     @property
     def effective_grid(self) -> DetuningGrid:
         return self.grid if self.grid is not None else DetuningGrid.default_grid(self.delta_big)
-
-    @property
-    def coincidence(self) -> CoincidenceSetting:
-        return CoincidenceSetting.for_bandwidth(self.delta_big)
 
 
 @dataclass(slots=True)
@@ -102,13 +101,11 @@ def emit_csv(table: Table, path) -> FsPath:
     return out
 
 
-def setting_for(delta_f_signed: float, tau: float,
-                orientation: Orientation = Orientation.PLUS_MINUS) -> PairSetting:
+def setting_for(delta_f_signed: float, tau: float) -> PairSetting:
     """Map a signed detuning sample onto a non-negative setting by folding
     the sign into the branch orientation."""
-    if delta_f_signed < 0:
-        return PairSetting(-delta_f_signed, orientation.flipped(), tau)
-    return PairSetting(delta_f_signed, orientation, tau)
+    sign = -1 if delta_f_signed < 0 else 1
+    return PairSetting(sign * delta_f_signed, sign, tau)
 
 
 def analytic_r(
@@ -254,8 +251,9 @@ def run_fig2b(cfg: ExperimentConfig, theta_deg: float = 0.0,
         erasers.append(eraser)
     estimates = None
     if cfg.mode in (RunMode.MC, RunMode.BOTH):
-        # stochastic path: accumulate counts over detunings drawn per pair,
-        # then normalize by the aligned-analyzer reference counts
+        # stochastic path: accepted counts per analyzer setting, normalized
+        # by the aligned-analyzer reference counts; no detuning is drawn,
+        # since the gated rate does not depend on it
         estimates = mc_estimates(erasers, cfg.n_pairs, cfg.seed)
     return _assemble(
         ("xi_deg", "theta_deg", "xi_plus_theta_deg"), base_rows, analytic_col, estimates, cfg.mode, "r_si"
@@ -340,7 +338,7 @@ def run_dephasing(
     """
     eraser = eraser if eraser is not None else EraserSetting(math.pi / 4, math.pi / 4)
     tau_values = np.asarray(taus if taus is not None else default_dephasing_taus(cfg.delta_big))
-    sample_law = law if law is not None else DetuningGrid.uniform(-2 * cfg.delta_big, 2 * cfg.delta_big)
+    sample_law = law if law is not None else DetuningGrid(-2 * cfg.delta_big, 2 * cfg.delta_big)
     rng = np.random.default_rng(cfg.seed)
     detunings = sample_law.sample(rng, n_samples)
 

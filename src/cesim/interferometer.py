@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -44,32 +43,21 @@ def pair_phase(delta_f: float, tau: float) -> float:
     return 2.0 * math.pi * BEAT_HARMONIC * delta_f * tau
 
 
-class Orientation(Enum):
-    """Which arm carries the positive frequency branch."""
-
-    PLUS_MINUS = 1  # arm 1 at +delta_f, arm 2 at -delta_f
-    MINUS_PLUS = -1
-
-    @property
-    def sign(self) -> int:
-        return self.value
-
-    def flipped(self) -> "Orientation":
-        return Orientation.MINUS_PLUS if self is Orientation.PLUS_MINUS else Orientation.PLUS_MINUS
-
-
 @dataclass(frozen=True, slots=True)
 class PairSetting:
     """Physical knobs of one frequency-tagged pair: detuning magnitude,
-    branch orientation and arm delay."""
+    branch orientation (+1 when arm 1 carries the positive branch, -1 when
+    arm 2 does) and arm delay."""
 
     delta_f: float
-    orientation: Orientation = Orientation.PLUS_MINUS
+    orientation_sign: int = 1
     tau: float = 0.0
 
     def __post_init__(self):
         if not math.isfinite(self.delta_f) or self.delta_f < 0:
             raise ValueError("delta_f must be finite and non-negative")
+        if self.orientation_sign not in (1, -1):
+            raise ValueError("orientation_sign must be +1 or -1")
         if not math.isfinite(self.tau):
             raise ValueError("tau must be finite")
 
@@ -119,7 +107,7 @@ def output_fields(setting: PairSetting) -> tuple[Field, Field]:
     s the orientation sign. The arm carrying the positive branch has tag
     bit 0 set. Both ports carry power 1/2.
     """
-    sign = setting.orientation.sign
+    sign = setting.orientation_sign
     split = _split_into_arms(hwp_22_5(_CARRIER))
     tagged = aom_tag(split, 0, sign > 0, sign * setting.phase)
     tagged = aom_tag(tagged, 1, sign < 0, 0.0)

@@ -14,9 +14,7 @@ orientations, route 1, route 2, port 1, port 2) from a single generator.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -28,37 +26,11 @@ def poisson_pair_probability(mu: float) -> float:
     return math.exp(-mu) * mu * mu / 2.0
 
 
-def multi_pair_error_ratio(mu: float) -> float:
-    """P(n >= 3) / P(n = 2), the relative weight of higher bunches.
-
-    Small values justify treating two-photon windows as the only
-    coincidence-relevant events.  The tail is summed term by term; the
-    complementary closed form cancels catastrophically for small mu.
-    """
-    if not math.isfinite(mu) or mu <= 0:
-        raise ValueError("mean photon number must be positive")
-    tail = 0.0
-    term = math.exp(-mu) * mu**3 / 6.0  # P(n = 3)
-    k = 3
-    while term > tail * 1e-18 or k == 3:
-        tail += term
-        k += 1
-        term *= mu / k
-        if k > 10_000:
-            break
-    return tail / poisson_pair_probability(mu)
-
-
-class GridMode(Enum):
-    GRID = "grid"
-    UNIFORM = "uniform"
-
-
 @dataclass(frozen=True, slots=True)
 class DetuningGrid:
-    """Detuning law: uniform over a discrete grid or a continuous interval."""
+    """Detuning law: uniform over the grid lo, lo + step, ..., hi, or over
+    the continuous interval [lo, hi) when ``step`` is None."""
 
-    mode: GridMode
     lo: float
     hi: float
     step: float | None = None
@@ -66,33 +38,30 @@ class DetuningGrid:
     def __post_init__(self):
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)) or self.lo > self.hi:
             raise ValueError("detuning bounds must be finite with lo <= hi")
-        if self.mode is GridMode.GRID:
-            if self.step is None or not math.isfinite(self.step) or self.step <= 0:
-                raise ValueError("grid mode needs a positive step")
-            n = (self.hi - self.lo) / self.step
-            if abs(n - round(n)) > 1e-9:
-                raise ValueError("grid span must be an integer number of steps")
+        if self.step is None:
+            return
+        if not math.isfinite(self.step) or self.step <= 0:
+            raise ValueError("a grid step must be positive")
+        n = (self.hi - self.lo) / self.step
+        if abs(n - round(n)) > 1e-9:
+            raise ValueError("grid span must be an integer number of steps")
 
     @classmethod
     def default_grid(cls, delta_big: float) -> "DetuningGrid":
         """21 points spanning -2*delta_big .. +2*delta_big in steps of delta_big/5."""
-        return cls(GridMode.GRID, -2.0 * delta_big, 2.0 * delta_big, delta_big / 5.0)
-
-    @classmethod
-    def uniform(cls, lo: float, hi: float) -> "DetuningGrid":
-        return cls(GridMode.UNIFORM, lo, hi)
+        return cls(-2.0 * delta_big, 2.0 * delta_big, delta_big / 5.0)
 
     def values(self) -> np.ndarray:
-        if self.mode is not GridMode.GRID:
-            raise ValueError("only grid mode has discrete values")
+        if self.step is None:
+            raise ValueError("only a stepped grid has discrete values")
         n = int(round((self.hi - self.lo) / self.step)) + 1
         return self.lo + self.step * np.arange(n)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        if self.mode is GridMode.GRID:
-            values = self.values()
-            return values[rng.integers(0, len(values), n)]
-        return rng.uniform(self.lo, self.hi, n)
+        if self.step is None:
+            return rng.uniform(self.lo, self.hi, n)
+        values = self.values()
+        return values[rng.integers(0, len(values), n)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,7 +71,6 @@ class SourceConfig:
     delta_big: float = 1.0e6
     grid: DetuningGrid | None = None
     seed: int = 0
-    laser_linewidth: float = 0.0
 
     def __post_init__(self):
         if not math.isfinite(self.mu) or self.mu <= 0:
@@ -111,14 +79,6 @@ class SourceConfig:
             raise ValueError("rate must be positive")
         if not math.isfinite(self.delta_big) or self.delta_big <= 0:
             raise ValueError("delta_big must be positive")
-        if self.laser_linewidth < 0 or not math.isfinite(self.laser_linewidth):
-            raise ValueError("laser linewidth must be finite and non-negative")
-        if self.laser_linewidth >= 0.1 * self.delta_big:
-            warnings.warn(
-                "laser linewidth is not small against the modulation bandwidth; "
-                "the frequency-path correlation degrades",
-                stacklevel=2,
-            )
 
     @property
     def effective_grid(self) -> DetuningGrid:

@@ -10,22 +10,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 SQ = math.sqrt(0.5)
-
-
-def poisson_tail_ratio(mu: float) -> float:
-    """P(n >= 3) / P(n = 2) from the complementary closed form evaluated in
-    50-digit arithmetic, immune to the cancellation that plagues doubles."""
-    import mpmath
-
-    with mpmath.workdps(50):
-        m = mpmath.mpf(mu)
-        p_le_2 = mpmath.e**-m * (1 + m + m * m / 2)
-        p2 = mpmath.e**-m * m * m / 2
-        return float((1 - p_le_2) / p2)
 
 
 def splitter_matrix_apply(in_a: complex, in_b: complex) -> tuple[complex, complex]:
@@ -313,3 +302,33 @@ def chsh_e(alpha: float, beta: float) -> float:
     q = math.pi / 2
     num = r(alpha, beta) + r(alpha + q, beta + q) - r(alpha + q, beta) - r(alpha, beta + q)
     return num / 2.0
+
+
+def correlation_r(xi: float, theta: float, tau_si: float, tau_c: float) -> float:
+    """Normalized joint correlation exp(-2 tau_si / tau_c) cos^2(xi + theta).
+
+    Normalized so the zero-delay, aligned-analyzer value is 1; no detuning
+    or branch orientation enters, since the branch phase is a common factor
+    of the surviving terms and cancels in the modulus.
+    """
+    return math.exp(-2.0 * tau_si / tau_c) * math.cos(xi + theta) ** 2
+
+
+def visibility(series: Sequence) -> float:
+    """Fringe contrast (max - min) / (max + min) of a sampled series.
+
+    Accepts (setting, value) pairs or bare values; needs at least two
+    samples and a nonzero extremal sum.
+    """
+    values = []
+    for item in series:
+        if isinstance(item, (tuple, list)) and len(item) == 2:
+            values.append(float(item[1]))
+        else:
+            values.append(float(item))
+    if len(values) < 2:
+        raise ValueError("visibility needs at least two samples")
+    hi, lo = max(values), min(values)
+    if hi + lo == 0:
+        raise ValueError("visibility is undefined for an all-zero series")
+    return (hi - lo) / (hi + lo)

@@ -9,11 +9,7 @@ import time
 
 import numpy as np
 
-from cesim.detection import (
-    CoincidenceSetting,
-    selection_efficiency,
-    visibility,
-)
+from cesim.detection import CoincidenceSetting, selection_efficiency
 from cesim.eventstream import (
     HEADER_SIZE,
     MAGIC,
@@ -46,6 +42,8 @@ from cesim.interferometer import (
     output_fields,
 )
 from cesim.source import DetuningGrid, SourceConfig, sample_n_pairs
+
+from _oracles import visibility
 
 DELTA = 1.0e6
 GRID = DetuningGrid.default_grid(DELTA).values()

@@ -72,7 +72,7 @@ class TestParsing:
         assert code == 2
         assert "unknown option" in err
 
-    @pytest.mark.parametrize("line", ["mode = foo", "format = tsv"])
+    @pytest.mark.parametrize("line", ["mode = foo", "format = tsv", "jitter = ture"])
     def test_config_value_outside_choices(self, tmp_path, capsys, line):
         # the flag's choices hold for a config line too
         cfg = tmp_path / "bad.cfg"
@@ -108,6 +108,38 @@ class TestParsing:
         monkeypatch.setenv("CESIM_SEED", "not-an-int")
         code, _, err = run_cli(["fig2b"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig2b", "--pairs", "0"],
+            ["events-generate", "--pairs", "-5", "--out", "x.bin"],
+            ["events-generate", "--pairs", "10", "--mu", "0", "--out", "x.bin"],
+            ["fig2b", "--delta-hz", "0"],
+            ["fig2b", "--tau-s", "nan"],
+            ["correlation", "--xi-deg", "nan"],
+            ["fig2b", "--mode", "mc", "--seed", "-1"],
+            ["correlation", "--tau-si-s", "-1"],
+            ["chsh", "--tau-si-s", "-1"],
+            ["chsh", "--mode", "mc", "--tau-si-s", "1e-6"],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_value_is_a_one_line_error(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "x.bin").exists()
+
+    def test_negative_seed_rejected_from_config_and_environment(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = -2\n", encoding="utf-8")
+        assert run_cli(["--config", str(cfg), "fig2b"], capsys)[0] == 2
+        monkeypatch.setenv("CESIM_SEED", "-3")
+        code, _, err = run_cli(["fig2b"], capsys)
+        assert code == 2
+        assert "seed must be non-negative" in err
 
 
 def _sample_value(opt):

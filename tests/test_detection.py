@@ -13,19 +13,19 @@ from cesim.detection import (
     CorrelationEstimate,
     Outcome,
     SelectionRule,
-    correlation_r,
     heterodyne_product,
     outcome_probabilities,
     sample_coincidence_counts,
     selection_efficiency,
-    visibility,
 )
 from cesim.eventstream import REJECT_REASONS, TagStream, match_coincidences
-from cesim.interferometer import EraserSetting, Orientation, PairSetting, eraser_amplitudes
+from cesim.experiments import analytic_r
+from cesim.interferometer import EraserSetting, PairSetting, eraser_amplitudes
 from cesim.source import PairBatch, SourceConfig, sample_n_pairs
 
 from _oracles import (
     RULE_PREDICATES,
+    correlation_r,
     cross_pair_classes,
     default_accept,
     heterodyne_sum,
@@ -33,6 +33,7 @@ from _oracles import (
     pair_accepted,
     reject_reason,
     same_pair_classes,
+    visibility,
 )
 
 V_PLUS = FLAG_POL_V | FLAG_BRANCH_PLUS
@@ -121,9 +122,7 @@ class TestHeterodyneProduct:
             sigma = 1 if rng.random() < 0.5 else -1
             delta_f = float(rng.uniform(0, 2e6))
             tau = float(rng.uniform(0, 1e-5))
-            setting = PairSetting(
-                delta_f, Orientation.PLUS_MINUS if sigma > 0 else Orientation.MINUS_PLUS, tau
-            )
+            setting = PairSetting(delta_f, sigma, tau)
             product = heterodyne_product(*eraser_amplitudes(setting, EraserSetting(xi, theta)))
             oracle = heterodyne_sum(xi, theta, sigma, setting.phase, default_accept)
             assert abs(product) ** 2 == pytest.approx(abs(oracle) ** 2, abs=1e-12)
@@ -151,8 +150,8 @@ class TestHeterodyneProduct:
         eraser = EraserSetting(math.radians(33), math.radians(12))
         reference = None
         for df in np.arange(-2e6, 2.2e6, 2e5):
-            for orientation in Orientation:
-                setting = PairSetting(abs(float(df)), orientation, 3e-6)
+            for sign in (1, -1):
+                setting = PairSetting(abs(float(df)), sign, 3e-6)
                 value = abs(heterodyne_product(*eraser_amplitudes(setting, eraser))) ** 2
                 if reference is None:
                     reference = value
@@ -161,10 +160,10 @@ class TestHeterodyneProduct:
 
 class TestCorrelationR:
     def test_peak(self):
-        assert correlation_r(PairSetting(1e6), EraserSetting(0, 0), CoincidenceSetting()) == 1.0
+        assert analytic_r(PairSetting(1e6), EraserSetting(0, 0), CoincidenceSetting()) == 1.0
 
     def test_orthogonal_zero(self):
-        value = correlation_r(
+        value = analytic_r(
             PairSetting(1e6), EraserSetting(math.radians(50), math.radians(40)), CoincidenceSetting(tau_si=2e-6)
         )
         assert value == pytest.approx(0.0, abs=1e-12)
@@ -172,25 +171,31 @@ class TestCorrelationR:
     def test_envelope_value(self):
         xi = theta = math.radians(22.5)
         cs = CoincidenceSetting(tau_si=1e-6, tau_c=1e-6)
-        value = correlation_r(PairSetting(1e6), EraserSetting(xi, theta), cs)
+        value = analytic_r(PairSetting(1e6), EraserSetting(xi, theta), cs)
         assert value == pytest.approx(math.exp(-2) * 0.5, abs=1e-12)
         assert value == pytest.approx(0.06767, abs=5e-6)
 
     def test_strictly_monotone_in_tau_si(self):
         eraser = EraserSetting(0.2, 0.1)
         values = [
-            correlation_r(PairSetting(1e6), eraser, CoincidenceSetting(tau_si=t, tau_c=1e-6))
+            analytic_r(PairSetting(1e6), eraser, CoincidenceSetting(tau_si=t, tau_c=1e-6))
             for t in np.linspace(0, 5e-6, 40)
         ]
         assert all(a > b for a, b in zip(values, values[1:]))
+
+    def test_matches_closed_form_oracle(self, rng):
+        for _ in range(200):
+            xi, theta = (float(x) for x in rng.uniform(-3, 3, 2))
+            setting = PairSetting(float(rng.uniform(0, 2e6)), int(rng.choice((1, -1))), float(rng.uniform(0, 1e-5)))
+            cs = CoincidenceSetting(tau_si=float(rng.uniform(0, 2e-6)), tau_c=1e-6)
+            expected = correlation_r(xi, theta, cs.tau_si, cs.tau_c)
+            assert analytic_r(setting, EraserSetting(xi, theta), cs) == pytest.approx(expected, abs=1e-12)
 
     def test_setting_validation(self):
         with pytest.raises(ValueError):
             CoincidenceSetting(tau_c=0.0)
         with pytest.raises(ValueError):
-            CoincidenceSetting(gate_window=-1.0)
-        with pytest.raises(ValueError):
-            CoincidenceSetting(resolving_time=2e-9, gate_window=1e-9)
+            CoincidenceSetting(tau_si=-1e-9)
         assert CoincidenceSetting.for_bandwidth(2e6).tau_c == pytest.approx(5e-7)
 
 

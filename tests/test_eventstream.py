@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 import math
 import time
 
@@ -34,7 +35,7 @@ from cesim.eventstream import (
     write_histogram_csv,
 )
 from cesim.interferometer import EraserSetting
-from cesim.source import SourceConfig, sample_n_pairs
+from cesim.source import PairBatch, SourceConfig, sample_n_pairs
 
 from _oracles import label_from_click, photon_label, reference_match
 
@@ -135,6 +136,16 @@ class TestWireFormat:
         last = encode_stream(make_stream([(2**63 - 1, 0, 0, 0)]))  # the largest valid timestamp
         assert stream_rows(decode_stream(last)) == [(2**63 - 1, 0, 0, 0)]
 
+    def test_decode_clears_reserved_bits(self):
+        # the reserved u16 and flag bits 2-7 are ignored on read
+        record = np.zeros(1, dtype=RECORD_DTYPE)
+        record[0] = (1000, 1, 0x82, 7, 7)
+        stream = decode_stream(MAGIC + (1).to_bytes(2, "little") + record.tobytes())
+        assert stream == TagStream.from_fields([1000], [1], [0b10], [7])
+        data = encode_stream(stream)
+        assert data[HEADER_SIZE + 9] == 0b10  # flags
+        assert data[HEADER_SIZE + 14 :] == b"\x00\x00"  # reserved
+
     def test_roundtrip_1000_random_streams(self, rng):
         for _ in range(1000):
             n = int(rng.integers(0, 40))
@@ -175,11 +186,12 @@ class TestWireFormat:
     )
     def test_roundtrip_property(self, rows):
         rows = sorted(rows)
-        stream = make_stream(rows)
-        decoded = decode_stream(encode_stream(stream))
-        assert decoded == stream
+        decoded = decode_stream(encode_stream(make_stream(rows)))
+        # flag bit 2 is reserved and cleared on read
+        tagged = make_stream([(t, ch, flags & 0b11, pid) for t, ch, flags, pid in rows])
+        assert decoded == tagged
         # re-encode is byte-stable
-        assert encode_stream(decoded) == encode_stream(stream)
+        assert encode_stream(decoded) == encode_stream(tagged)
 
     @settings(max_examples=300, deadline=None)
     @given(st.binary(max_size=80))
@@ -343,6 +355,15 @@ class TestSynthesizedStreams:
         assert s1 == s2
         assert encode_stream(s1) == encode_stream(s2)
 
+    def test_stream_bytes_pinned(self):
+        # clicks that share a timestamp and a channel keep the synthesizer's
+        # emit order, so a fixed seed gives a fixed file
+        batch = sample_n_pairs(SourceConfig(seed=3), 20_000)
+        digest = hashlib.sha256()
+        for eraser in (None, EraserSetting(0.4, 1.1)):
+            digest.update(encode_stream(synthesize_stream(batch, eraser=eraser, jitter=True, seed=4)))
+        assert digest.hexdigest() == "226857f9785f1415a7128bb0d8015f527e98d3c2ac9e61a315635cf5e03bb92d"
+
     def test_no_analyzer_two_clicks_per_pair(self):
         batch = sample_n_pairs(SourceConfig(seed=7), 2_000)
         stream = synthesize_stream(batch, seed=8)
@@ -386,6 +407,34 @@ class TestSynthesizedStreams:
         out = match_coincidences(stream, 10_000)
         taus = out["tau_si_ps"][out["accepted"]]
         assert len(taus) and np.all(taus == 5000)
+
+    def test_click_order_near_the_top_of_the_time_range(self):
+        # emission times straddling 2**62 overflow a signed 2 * t + channel
+        # sort key; the stream must be the low-time stream shifted up
+        rng = np.random.default_rng(62)
+        n = 20_000
+        t_low = np.sort(rng.integers(0, n, n)).astype(np.uint64) * np.uint64(100)  # shared times
+        low = PairBatch(
+            pair_id=np.arange(n, dtype=np.uint32),
+            delta_f=np.zeros(n),
+            orientation_sign=(2 * rng.integers(0, 2, n) - 1).astype(np.int8),
+            route1=rng.integers(1, 3, n, dtype=np.uint8),
+            route2=rng.integers(1, 3, n, dtype=np.uint8),
+            port1=rng.integers(0, 2, n, dtype=np.uint8),
+            port2=rng.integers(0, 2, n, dtype=np.uint8),
+            t_emit_ps=t_low,
+        )
+        offset = np.uint64(2**62 - 50 * n)
+        high = dataclasses.replace(low, t_emit_ps=t_low + offset)
+        kwargs = dict(
+            eraser=EraserSetting(0.3, 0.5), coincidence=CoincidenceSetting(tau_c=2e-10), jitter=True, seed=63
+        )
+        expected = synthesize_stream(low, **kwargs).array.copy()
+        expected["t_ps"] += offset
+        stream = synthesize_stream(high, **kwargs)
+        t = stream.array["t_ps"]
+        assert t.min() < 2**62 <= t.max()
+        assert stream == TagStream(expected)
 
 
 class TestHistogram:

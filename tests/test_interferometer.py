@@ -7,7 +7,6 @@ import pytest
 from cesim.interferometer import (
     BEAT_HARMONIC,
     EraserSetting,
-    Orientation,
     PairSetting,
     eraser_amplitudes,
     eraser_intensity,
@@ -19,7 +18,7 @@ from cesim.interferometer import (
 from cesim.detection import mode_tag
 from cesim.optics import TAG_BITS, field, power
 
-from _oracles import eraser_bracket
+from _oracles import eraser_bracket, visibility
 
 # slot 4 * arm + tag, tag = branch_plus + 2 * pol_v; arm 1 on the plus branch
 V1, H2, H1, V2 = 3, 4, 1, 6
@@ -47,7 +46,7 @@ class TestOutputFields:
         assert port_b[V2] == pytest.approx(0.5, abs=1e-12)
 
     def test_orientation_flips_branch_labels(self):
-        port_a, port_b = output_fields(PairSetting(1e6, Orientation.MINUS_PLUS, 1e-7))
+        port_a, port_b = output_fields(PairSetting(1e6, -1, 1e-7))
         assert occupied(port_a) == {V1 - 1, H2 + 1}  # arm 1 minus, arm 2 plus
 
     def test_tau_zero_real_amplitudes(self):
@@ -61,19 +60,24 @@ class TestOutputFields:
         port_a, port_b = output_fields(PairSetting(0.5e6, tau=4.2e-6))
         assert power(port_a) + power(port_b) == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("orientation", list(Orientation))
-    def test_slot_tag_is_the_wire_tag(self, orientation):
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_slot_tag_is_the_wire_tag(self, sign):
         # the analytic slot of each photon and the flags tag the click
         # synthesizer writes for it are the same two bits
-        ports = output_fields(PairSetting(1e6, orientation, 1.7e-7))
+        ports = output_fields(PairSetting(1e6, sign, 1.7e-7))
         for port, fld in enumerate(ports):
             for route in (1, 2):
                 (k,) = {k for k in occupied(fld) if k >> 2 == route - 1}
-                assert k & TAG_BITS == mode_tag(route, port, orientation.sign)
+                assert k & TAG_BITS == mode_tag(route, port, sign)
 
     def test_negative_delta_f_rejected(self):
         with pytest.raises(ValueError):
             PairSetting(-1.0)
+
+    @pytest.mark.parametrize("sign", [0, 2, -2])
+    def test_orientation_sign_outside_pm1_rejected(self, sign):
+        with pytest.raises(ValueError):
+            PairSetting(1e6, sign)
 
 
 class TestLocalIntensity:
@@ -89,7 +93,7 @@ class TestLocalIntensity:
         for _ in range(200):
             setting = PairSetting(
                 float(rng.uniform(0, 2e6)),
-                Orientation.PLUS_MINUS if rng.random() < 0.5 else Orientation.MINUS_PLUS,
+                1 if rng.random() < 0.5 else -1,
                 float(rng.uniform(0, 1e-4)),
             )
             port_a, _ = output_fields(setting)
@@ -127,8 +131,8 @@ class TestEraserAmplitudes:
             delta_f = float(rng.uniform(1e5, 2e6))
             tau = float(rng.uniform(0, 1e-5))
             eraser = EraserSetting(float(rng.uniform(0.1, 1.4)), float(rng.uniform(0.1, 1.4)))
-            s_plus = eraser_amplitudes(PairSetting(delta_f, Orientation.PLUS_MINUS, tau), eraser)
-            s_minus = eraser_amplitudes(PairSetting(delta_f, Orientation.MINUS_PLUS, tau), eraser)
+            s_plus = eraser_amplitudes(PairSetting(delta_f, 1, tau), eraser)
+            s_minus = eraser_amplitudes(PairSetting(delta_f, -1, tau), eraser)
             for f_plus, f_minus in zip(s_plus, s_minus):
                 amps_p = [a for a in f_plus if a]  # slot order: arm 1, then arm 2
                 amps_m = [a for a in f_minus if a]
@@ -188,8 +192,6 @@ class TestEraserIntensity:
 class TestVisibilityLaw:
     @pytest.mark.parametrize("xi_deg", [0.0, 15.0, 22.5, 30.0, 45.0])
     def test_port_a_visibility(self, xi_deg):
-        from cesim.detection import visibility
-
         xi = math.radians(xi_deg)
         delta_f = 1e6
         taus = np.linspace(0.0, 1.0 / delta_f, 161)  # two full fringes
