@@ -277,7 +277,7 @@ def _cmd_fig2b(options: dict) -> int:
 
 def _cmd_dephasing(options: dict) -> int:
     cfg = _experiment_config(options)
-    table = experiments.run_dephasing(cfg, _eraser(options), n_samples=options["samples"])
+    table = _build(experiments.run_dephasing, cfg=cfg, eraser=_eraser(options), n_samples=options["samples"])
     _deliver(table, options)
     return 0
 
@@ -329,17 +329,25 @@ def _cmd_events_match(options: dict) -> int:
     if options["in"] is None:
         raise CliError("events-match needs --in")
     data = FsPath(options["in"]).read_bytes()
-    stream = eventstream.decode_stream(data)
-    coincidences = eventstream.match_coincidences(stream, options["window-ps"])
+    try:
+        stream = eventstream.decode_stream(data)
+    except eventstream.StreamFormatError as exc:
+        raise CliError(f"{options['in']}: {exc}") from exc
+    coincidences = _build(eventstream.match_coincidences, stream=stream, window_ps=options["window-ps"])
     accepted = coincidences[coincidences["accepted"]]
+    hist = None
+    if options["hist-out"] is not None:  # before any output, so bad bins write nothing
+        hist = _build(
+            eventstream.histogram_tau_si, coincidences=accepted, bin_ps=options["bin-ps"],
+            range_ps=options["range-ps"],
+        )
     print(
         f"{len(stream)} records, {len(coincidences)} candidates, {len(accepted)} accepted coincidences"
     )
     if options["out"] is not None:
         eventstream.write_coincidences_csv(coincidences, options["out"])
         print(f"wrote {options['out']}")
-    if options["hist-out"] is not None:
-        hist = eventstream.histogram_tau_si(accepted, options["bin-ps"], options["range-ps"])
+    if hist is not None:
         eventstream.write_histogram_csv(hist, options["hist-out"])
         print(f"wrote {options['hist-out']}")
     return 0

@@ -25,6 +25,7 @@ detector, produces the events.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from pathlib import Path as FsPath
@@ -197,16 +198,6 @@ def _reject_reason(key: int) -> int:
 _REJECT_REASON_CODES = np.array([_reject_reason(key) for key in range(16)], dtype=np.uint8)
 
 
-def _find_free(parent: list[int], k: int) -> int:
-    """Root of slot ``k`` in a next-free-slot forest, compressing the path."""
-    root = parent[k]
-    while parent[root] != root:
-        root = parent[root]
-    while parent[k] != root:
-        parent[k], k = root, parent[k]
-    return root
-
-
 def match_coincidences(
     stream: TagStream, window_ps: int, rule: SelectionRule | None = None
 ) -> np.ndarray:
@@ -218,68 +209,229 @@ def match_coincidences(
     selection rule on the two clicks' flag tags.  Only accepted pairs
     consume their clicks, so each click joins at most one accepted
     coincidence.  Returns a COINCIDENCE_DTYPE array, one row per candidate
-    in D1 order.
+    in D1 order; it stops at the first D1 click that finds every D2 click
+    consumed.
     """
     if window_ps < 0:
         raise ValueError("window must be non-negative")
     rule = rule or SelectionRule.heterodyne()
-
-    arr = stream.array
-    mask2 = arr["channel"] == 1
-    d1 = arr[~mask2]
-    d2 = arr[mask2]
-    t1 = d1["t_ps"].astype(np.int64)
-    t2 = d2["t_ps"].astype(np.int64)
-    key1 = 4 * (d1["flags"] & TAG_BITS)
-    tag2 = d2["flags"] & TAG_BITS
     accept = np.array([rule.accepts(key >> 2, key & TAG_BITS) for key in range(16)])
 
-    # Next-free-slot union-find (Tarjan 1975): right[k] leads to the first
-    # unconsumed D2 at or after k (n2 when none), left[k] to the last one
-    # before k, shifted by one (0 when none).  A consumed slot links to its
-    # neighbour and every find compresses its path, so skipping consumed
-    # clicks stays near-linear even when most of them are consumed.
-    n2 = len(t2)
-    right = list(range(n2 + 1))
-    left = right[:]
-    t2_list = t2.tolist()
-    tag2_list = tag2.tolist()
-    accept_list = accept.tolist()
-    met: list[int] = []  # the D2 click the i-th D1 click meets
-    for ti, k1, r in zip(t1.tolist(), key1.tolist(), np.searchsorted(t2, t1).tolist()):
-        lft = r
-        if right[r] != r:
-            r = _find_free(right, r)
-        if left[lft] != lft:
-            lft = _find_free(left, lft)
-        if lft == 0:
-            if r == n2:
-                break  # every D2 click is consumed, for this and all later D1
-            j = r
-        elif r == n2 or ti - t2_list[lft - 1] <= t2_list[r] - ti:
-            j = lft - 1  # the tie goes to the earlier D2
-        else:
-            j = r
-        if abs(t2_list[j] - ti) <= window_ps and accept_list[k1 + tag2_list[j]]:
-            right[j] = j + 1
-            left[j + 1] = j
-        met.append(j)
+    arr = stream.array
+    is_d2 = arr["channel"].astype(bool)  # a valid channel is 0 or 1
 
-    # the D1 clicks that meet a D2 click are a prefix of the channel
-    m = len(met)
-    j = np.array(met, dtype=np.intp)
-    out = np.zeros(m, dtype=COINCIDENCE_DTYPE)
-    out["t1_ps"] = t1[:m]
-    out["t2_ps"] = t2[j]
-    out["tau_si_ps"] = out["t2_ps"] - out["t1_ps"]
-    out["pair_id_1"] = d1["pair_id"][:m]
-    out["pair_id_2"] = d2["pair_id"][j]
+    def split(field):
+        """The field's D1 and D2 columns, each in time order."""
+        return arr[field].compress(~is_d2), arr[field].compress(is_d2)
+
+    t1, t2 = (t.view(np.int64) for t in split("t_ps"))
+    key1, tag2 = split("flags")
+    key1 &= TAG_BITS
+    key1 <<= 2  # 4 * tag, so key1 + tag2 indexes accept
+    tag2 &= TAG_BITS
+    if len(t2):
+        j, m = _nearest_free(t1, key1, t2, tag2, window_ps, accept)
+    else:
+        j, m = np.zeros(0, dtype=np.intp), 0
+
+    # the dels free each column before the next allocation: a 1M-pair
+    # stream's columns are 8 MB each, its output 34 MB
+    j = j[:m]
     key = key1[:m] + tag2[j]
-    in_window = np.abs(out["tau_si_ps"]) <= window_ps
+    t2_met = t2[j]
+    del t2
+    tau = t2_met - t1[:m]
+    in_window = np.abs(tau) <= window_ps
+    out = np.empty(m, dtype=COINCIDENCE_DTYPE)  # every field is written below
+    out["t1_ps"] = t1[:m]
+    out["t2_ps"] = t2_met
+    out["tau_si_ps"] = tau
+    del t1, t2_met, tau
     out["accepted"] = in_window & accept[key]
     reasons = np.where(accept, 0, _REJECT_REASON_CODES)  # code 0 is "none"
     out["reason"] = np.where(in_window, reasons[key], OUT_OF_WINDOW)
+    id1, id2 = split("pair_id")
+    out["pair_id_1"] = id1[:m]
+    out["pair_id_2"] = id2[j]
     return out
+
+
+def _nearer(t, t2, below, above):
+    """The nearer to ``t`` of D2 slots ``below`` < ``above``, the earlier on a
+    tie; ``below`` -1 and ``above`` len(t2) mean there is none on that side,
+    and len(t2) comes back when there is none on either."""
+    n2 = len(t2)
+    pick_below = t - t2[np.maximum(below, 0)] <= t2[np.minimum(above, n2 - 1)] - t
+    pick_below |= above >= n2
+    pick_below &= below >= 0
+    return np.where(pick_below, below, above)
+
+
+def _nearest_free(t1, key1, t2, tag2, window_ps, accept):
+    """The D2 slot each D1 click meets, and how many D1 clicks meet one (a
+    prefix: after the first that finds every D2 consumed, none does).
+
+    Phase 1, numpy over every click.  ``j0`` is the nearest D2 slot ignoring
+    consumption.  It never decreases with the click index, and a click
+    meets its ``j0`` unless an earlier accepted click took it.  Such
+    deviators are the clicks after the first accepted one in a run of equal
+    ``j0`` (static), plus the clicks of a run whose ``j0`` a deviator takes
+    on its right (found in phase 2).  Below its ``j0`` a deviator sees the
+    non-deviators' takes and what earlier deviators took, from ``j0 + 1`` up
+    only what earlier deviators took.  So until some deviator takes a slot,
+    the first-order answer computed here from the non-deviators' takes is
+    exact; phase 2 (``_replay``) goes on from the first deviator that takes
+    one.
+    """
+
+    def fits(i, j):
+        """In the window and kept by the rule: the pair consumes j."""
+        return (np.abs(t2[j] - t1[i]) <= window_ps) & accept[key1[i] + tag2[j]]
+
+    n1, n2 = len(t1), len(t2)
+    r = np.searchsorted(t2, t1)
+    j0 = _nearer(t1, t2, r - 1, r)
+    taken = fits(slice(None), j0)
+    before = np.cumsum(taken)
+    before -= taken  # accepted clicks before i
+    run_start = np.ones(n1, dtype=bool)
+    run_start[1:] = j0[1:] != j0[:-1]
+    run_before = np.where(run_start, before, 0)
+    np.maximum.accumulate(run_before, out=run_before)  # ... before i's run
+    deviates = before > run_before
+    del before, run_start, run_before
+    taken &= ~deviates
+    # free_below[k]: the last slot below k that no non-deviator takes
+    free_below = np.full(n2 + 1, -1, dtype=np.intp)
+    free_below[1:] = np.arange(n2)
+    free_below[1:][j0[taken]] = -1
+    np.maximum.accumulate(free_below, out=free_below)
+    del taken
+
+    dev = np.flatnonzero(deviates)
+    below = free_below[r[dev]]
+    c = j0[dev]
+    j1 = _nearer(t1[dev], t2, below, c + 1)
+    met = j1 < n2
+    take = met.copy()
+    take[met] = fits(dev[met], j1[met])
+    stop = np.flatnonzero(take | ~met)
+    if not len(stop):
+        j0[dev] = j1
+        return j0, n1
+    first = int(stop[0])
+    if not met[first]:
+        j0[dev[:first]] = j1[:first]
+        return j0, int(dev[first])
+    # the slot a first-order answer consumes: -1 for none, n2 when it meets none
+    claim = np.where(take | ~met, j1, -1)
+    static = [memoryview(a[first:]) for a in (dev, below, c, claim)]
+    run_lo = np.zeros(n2 + 1, dtype=np.intp)  # run_lo[k]: the first click whose j0 >= k
+    np.cumsum(np.bincount(j0, minlength=n2), out=run_lo[1:])
+    j = j0  # the phase-1 answers overwrite j0 only at deviators
+    j[dev[met]] = j1[met]
+    return j, _replay(static, j, r, t1, key1, t2, tag2, window_ps, accept, free_below, deviates, run_lo)
+
+
+def _replay(static, j, r, t1, key1, t2, tag2, window_ps, accept, free_below, deviates, run_lo) -> int:
+    """Phase 2: replay the deviators in click order and correct their slots
+    in ``j``; returns how many D1 clicks meet a D2 click.
+
+    ``static`` holds the columns (click, below, j0, claim) of the static
+    deviators' first-order answers.  One holds unless an earlier deviator
+    took its ``below`` slot or the slot after its ``j0``; then
+    next-free-slot union-find (Tarjan 1975) finds the nearest free slot on
+    each side.  ``left`` links a deviator-taken slot down and ``right``
+    links it up, every find compresses its path, and the non-deviators'
+    takes are skipped through ``free_below``, so the replay stays
+    near-linear however many slots get consumed.  A deviator that takes a
+    slot on its right queues the run of clicks whose j0 that slot is in
+    ``pending``; a click not yet settled still holds its j0 in ``j``.
+    """
+    n1, n2 = len(j), len(t2)
+    accept = accept.tolist()
+    # memoryviews read and write single elements as Python ints, without a copy
+    at_j, t1, key1, t2, tag2, r, free_below, deviates, run_lo = map(
+        memoryview, (j, t1, key1, t2, tag2, r, free_below, deviates, run_lo)
+    )
+    left: dict[int, int] = {}
+    right: dict[int, int] = {}
+    pending: list[int] = []  # clicks whose j0 a deviator took, as a heap
+    push, pop = heapq.heappush, heapq.heappop
+
+    def find_left(k):
+        """The last free slot below ``k``, a slot a deviator took."""
+        path = [k]
+        k = free_below[left[k] + 1]
+        while k in left:
+            path.append(k)
+            k = free_below[left[k] + 1]
+        for p in path:
+            left[p] = k
+        return k
+
+    def find_right(k):
+        """The first free slot above ``k``, a slot a deviator took."""
+        path = [k]
+        k = right[k]
+        while k in right:
+            path.append(k)
+            k = right[k]
+        for p in path:
+            right[p] = k
+        return k
+
+    def consume(jj, c):
+        left[jj] = jj - 1
+        right[jj] = jj + 1
+        if jj > c and run_lo[jj] < run_lo[jj + 1]:  # the clicks whose j0 is jj deviate now
+            push(pending, run_lo[jj])
+
+    def settle(i, lo, c) -> bool:
+        """Move deviator i to its nearest free slot; False when there is none."""
+        ti = t1[i]
+        hi = c + 1
+        if lo in left:
+            lo = find_left(lo)
+        if hi in right:
+            hi = find_right(hi)
+        if hi < n2 and (lo < 0 or ti - t2[lo] > t2[hi] - ti):
+            jj = hi
+        elif lo >= 0:
+            jj = lo
+        else:
+            return False
+        at_j[i] = jj
+        if abs(t2[jj] - ti) <= window_ps and accept[key1[i] + tag2[jj]]:
+            consume(jj, c)
+        return True
+
+    def settle_pending(limit):
+        """Settle the pending clicks before ``limit``; the first that finds
+        every D2 consumed, or None."""
+        while pending and pending[0] < limit:
+            i = pop(pending)
+            c = at_j[i]
+            if i + 1 < run_lo[c + 1] and not deviates[i + 1]:
+                push(pending, i + 1)
+            if not settle(i, free_below[r[i]], c):
+                return i
+        return None
+
+    for i, lo, c, claim in zip(*static):
+        if pending and pending[0] < i:
+            m = settle_pending(i)
+            if m is not None:
+                return m
+        if lo in left or c + 1 in right:
+            if not settle(i, lo, c):
+                return i
+        elif claim == n2:
+            return i  # every D2 click is consumed, for this and all later D1
+        elif claim >= 0:
+            consume(claim, c)
+    m = settle_pending(n1)
+    return n1 if m is None else m
 
 
 @dataclass(frozen=True, slots=True)
@@ -468,14 +620,18 @@ def write_histogram_csv(hist: TauHistogram, path) -> None:
     FsPath(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+# the ",accepted,reject_reason" end of a CSV row, indexed by 4 * accepted + reason
+_CSV_ROW_ENDS = tuple(f",{accepted},{reason}" for accepted in (0, 1) for reason in REJECT_REASONS)
+
+
 def write_coincidences_csv(coincidences: np.ndarray, path) -> None:
     lines = ["t1_ps,t2_ps,tau_si_ps,accepted,reject_reason"]
+    ends = 4 * coincidences["accepted"].astype(np.uint8) + coincidences["reason"]
     columns = zip(
         coincidences["t1_ps"].tolist(),
         coincidences["t2_ps"].tolist(),
         coincidences["tau_si_ps"].tolist(),
-        coincidences["accepted"].astype(np.uint8).tolist(),
-        coincidences["reason"].tolist(),
+        ends.tolist(),
     )
-    lines += [f"{t1},{t2},{tau},{acc},{REJECT_REASONS[reason]}" for t1, t2, tau, acc, reason in columns]
+    lines += [f"{t1},{t2},{tau}{_CSV_ROW_ENDS[end]}" for t1, t2, tau, end in columns]
     FsPath(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -336,6 +336,8 @@ def run_dephasing(
     intensities settle at half the analyzer-passed maximum, independent of
     the analyzer angles.
     """
+    if n_samples < 1:
+        raise ValueError(f"dephasing needs at least one sample, got {n_samples}")
     eraser = eraser if eraser is not None else EraserSetting(math.pi / 4, math.pi / 4)
     tau_values = np.asarray(taus if taus is not None else default_dephasing_taus(cfg.delta_big))
     sample_law = law if law is not None else DetuningGrid(-2 * cfg.delta_big, 2 * cfg.delta_big)

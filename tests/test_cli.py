@@ -3,7 +3,7 @@ import math
 import pytest
 
 from cesim.cli import OPTIONS, SUBCOMMANDS, CliInvocation, main, parse_args
-from cesim.eventstream import decode_stream
+from cesim.eventstream import TagStream, decode_stream, encode_stream
 
 
 def run_cli(argv, capsys):
@@ -122,15 +122,27 @@ class TestParsing:
             ["correlation", "--tau-si-s", "-1"],
             ["chsh", "--tau-si-s", "-1"],
             ["chsh", "--mode", "mc", "--tau-si-s", "1e-6"],
+            ["dephasing", "--samples", "0"],
+            ["dephasing", "--samples", "-1"],
+            ["events-match", "--in", "empty.bin"],
+            ["events-match", "--in", "short.bin"],
+            ["events-match", "--in", "ok.bin", "--window-ps", "-1"],
+            ["events-match", "--in", "ok.bin", "--hist-out", "h.csv", "--bin-ps", "0", "--out", "x.csv"],
+            ["events-match", "--in", "ok.bin", "--hist-out", "h.csv", "--range-ps", "0"],
         ],
         ids=" ".join,
     )
     def test_bad_value_is_a_one_line_error(self, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
+        (tmp_path / "empty.bin").write_bytes(b"")
+        ok = encode_stream(TagStream.from_fields([1000, 1400], [0, 1], [0b10, 0b11], [1, 1]))
+        (tmp_path / "ok.bin").write_bytes(ok)
+        (tmp_path / "short.bin").write_bytes(ok[:-3])
         code, _, err = run_cli(argv, capsys)
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "x.bin").exists()
+        assert not (tmp_path / "x.csv").exists() and not (tmp_path / "h.csv").exists()
 
     def test_negative_seed_rejected_from_config_and_environment(self, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "run.cfg"

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import hashlib
 import math
+import statistics
 import time
 
 import numpy as np
@@ -346,6 +347,55 @@ class TestMatcher:
         got = match_coincidences(stream, window_ps, rule)
         assert coincidence_rows(got) == [dataclasses.astuple(rec) for rec in expected]
 
+    def test_deviator_takes_a_later_runs_nearest(self):
+        # The second click at t=0 finds D2 slot 0 taken and takes slot 1 on
+        # its right, the nearest D2 of the click at t=3; that click then
+        # takes slot 2, the nearest of the click at t=4, which takes slot 3.
+        stream = make_stream(
+            [
+                (0, 0, V_MINUS, 1),
+                (0, 0, V_MINUS, 2),
+                (1, 1, V_PLUS, 1),
+                (3, 0, V_MINUS, 3),
+                (3, 1, V_PLUS, 2),
+                (4, 0, V_MINUS, 4),
+                (4, 1, V_PLUS, 3),
+                (10, 1, V_PLUS, 4),
+            ]
+        )
+        got = coincidence_rows(match_coincidences(stream, 100))
+        assert got == [
+            (0, 1, 1, True, "none", 1, 1),
+            (0, 3, 3, True, "none", 2, 2),
+            (3, 4, 1, True, "none", 3, 3),
+            (4, 10, 6, True, "none", 4, 4),
+        ]
+        expected = reference_match(stream.array, 100, SelectionRule.heterodyne().accepts)
+        assert got == [dataclasses.astuple(rec) for rec in expected]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0, 1, 2, 40, 41, 1000, 10**6]),
+                st.integers(0, 1),
+                st.integers(0, 7),
+                st.integers(0, 3),
+            ),
+            max_size=400,
+        ),
+        st.sampled_from([0, 1, 40, 10**9]),
+        st.sampled_from(["heterodyne", "inverted", "cross_port_only"]),
+    )
+    def test_matches_reference_matcher_on_long_tied_streams(self, rows, window_ps, rule_name):
+        # long runs of clicks with one nearest D2: most clicks deviate, and
+        # deviators take the nearest D2 of later runs
+        stream = make_stream(sorted(rows, key=lambda row: row[0]))
+        rule = getattr(SelectionRule, rule_name)()
+        expected = reference_match(stream.array, window_ps, rule.accepts)
+        got = match_coincidences(stream, window_ps, rule)
+        assert coincidence_rows(got) == [dataclasses.astuple(rec) for rec in expected]
+
 
 class TestSynthesizedStreams:
     def test_deterministic(self):
@@ -540,3 +590,44 @@ class TestPerformance:
                 best[n] = min(best[n], time.perf_counter() - t0)
         # linear is 4x, quadratic 16x
         assert best[80_000] < 4.0 * best[20_000] * 1.5
+
+    def test_matcher_replay_scales_linearly(self):
+        # 20 bursts, each of n/20 D1 clicks on one timestamp followed by as
+        # many D2 clicks: every D1 click after a burst's first finds its
+        # nearest D2 taken and takes the next free one on its right, so the
+        # replay settles nearly every click; a replay that walks over taken
+        # slots one by one is quadratic here
+        def stream_of(n):
+            k = n // 20
+            burst = 10 * k * np.arange(20)
+            t1 = np.repeat(burst, k)
+            t2 = (burst[:, None] + 1 + np.arange(k)).ravel()
+            order = np.argsort(np.concatenate([t1, t2]), kind="stable")
+            return TagStream.from_fields(
+                np.concatenate([t1, t2])[order], np.repeat([0, 1], n)[order], 0, 0
+            )
+
+        rule = SelectionRule.cross_port_only()
+        assert np.all(match_coincidences(stream_of(2_000), 10**12, rule)["accepted"])  # and warm-up
+        streams = {n: stream_of(n) for n in (5_000, 20_000)}
+        # Each round times 20k clicks per size (four calls on the small
+        # stream) back to back, so host noise mostly hits both sides of one
+        # round's ratio, and the median drops the rounds it does not; the
+        # replay's union-find dicts hold a slot per click, so a collection
+        # pass inside a timed interval would be charged to one size.
+        ratios = []
+        for _ in range(9):
+            per_call = {}
+            for n, stream in streams.items():
+                calls = 20_000 // n
+                gc.disable()
+                try:
+                    t0 = time.perf_counter()
+                    for _ in range(calls):
+                        match_coincidences(stream, 10**12, rule)
+                    per_call[n] = (time.perf_counter() - t0) / calls
+                finally:
+                    gc.enable()
+            ratios.append(per_call[20_000] / per_call[5_000])
+        # linear is 4x, quadratic 16x
+        assert statistics.median(ratios) < 4.0 * 1.5
