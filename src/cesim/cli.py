@@ -28,19 +28,6 @@ from .source import DetuningGrid, SourceConfig, sample_n_pairs
 
 ENV_SEED = "CESIM_SEED"
 
-SUBCOMMANDS = {
-    "local": "local intensities against the arm delay",
-    "correlation": "print the normalized joint correlation for one setting",
-    "fig2a": "per-detuning zero-delay correlation table",
-    "fig2b": "correlation fringe against the summed analyzer angle",
-    "dephasing": "ensemble-averaged intensities against the arm delay",
-    "chsh": "CHSH combination of the joint fringe",
-    "events-generate": "synthesize a binary time-tag stream",
-    "events-match": "match coincidences in a binary time-tag stream",
-    "selftest": "run the built-in invariant battery",
-}
-
-
 def _truthy(text: str) -> bool:
     word = str(text).strip().lower()
     if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
@@ -122,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", default=None, help="key=value option file")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, text in SUBCOMMANDS.items():
+    for name, (text, _) in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=text)
         for opt in OPTIONS:
             if not opt.subcommands or name in opt.subcommands:
@@ -359,21 +346,22 @@ def _cmd_selftest(options: dict) -> int:
     return run_selftest(seed=options["seed"])
 
 
-_DISPATCH = {
-    "local": _cmd_local,
-    "correlation": _cmd_correlation,
-    "fig2a": _cmd_fig2a,
-    "fig2b": _cmd_fig2b,
-    "dephasing": _cmd_dephasing,
-    "chsh": _cmd_chsh,
-    "events-generate": _cmd_events_generate,
-    "events-match": _cmd_events_match,
-    "selftest": _cmd_selftest,
+# name -> (help text, handler)
+SUBCOMMANDS = {
+    "local": ("local intensities against the arm delay", _cmd_local),
+    "correlation": ("print the normalized joint correlation for one setting", _cmd_correlation),
+    "fig2a": ("per-detuning zero-delay correlation table", _cmd_fig2a),
+    "fig2b": ("correlation fringe against the summed analyzer angle", _cmd_fig2b),
+    "dephasing": ("ensemble-averaged intensities against the arm delay", _cmd_dephasing),
+    "chsh": ("CHSH combination of the joint fringe", _cmd_chsh),
+    "events-generate": ("synthesize a binary time-tag stream", _cmd_events_generate),
+    "events-match": ("match coincidences in a binary time-tag stream", _cmd_events_match),
+    "selftest": ("run the built-in invariant battery", _cmd_selftest),
 }
 
 
 def run(invocation: CliInvocation) -> int:
-    handler = _DISPATCH[invocation.subcommand]
+    _, handler = SUBCOMMANDS[invocation.subcommand]
     try:
         return handler(invocation.options)
     except SelfCheckError as exc:

@@ -158,12 +158,12 @@ def decode_stream(data: bytes) -> TagStream:
     version = int.from_bytes(data[len(MAGIC) : HEADER_SIZE], "little")
     if version != VERSION:
         raise VersionMismatchError(f"unsupported stream version {version}")
-    body = data[HEADER_SIZE:]
-    if len(body) % RECORD_SIZE != 0:
+    body_size = len(data) - HEADER_SIZE
+    if body_size % RECORD_SIZE != 0:
         raise TruncatedRecordError(
-            f"stream body of {len(body)} bytes is not a whole number of {RECORD_SIZE}-byte records"
+            f"stream body of {body_size} bytes is not a whole number of {RECORD_SIZE}-byte records"
         )
-    array = np.frombuffer(body, dtype=RECORD_DTYPE).copy()
+    array = np.frombuffer(data, dtype=RECORD_DTYPE, offset=HEADER_SIZE).copy()
     array["flags"] &= TAG_BITS  # the reserved bits are ignored on read
     array["reserved"] = 0
     return TagStream(array)

@@ -3,8 +3,14 @@
 Every runner can evaluate its observables analytically (through the
 amplitude machinery, so the detuning phases really enter and cancel),
 stochastically (event-level draws), or both. In ``BOTH`` mode the runner
-raises if any cell (for CHSH, S) disagrees beyond three Monte Carlo
-standard errors; the fig2a/fig2b rows also carry that discrepancy.
+measures each analytic cell's distance from its twin in Monte Carlo
+standard errors (for CHSH the one cell is S) and raises SelfCheckError
+when any cell exceeds the family-wise threshold of its table: the
+two-sided z at which a table of m independent cells raises a false alarm
+as often as one cell does at 3 sigma (Sidak). That is 3 for CHSH, and
+3.97, 4.16, 4.46 and 3.82 for the default fig2b, fig2a, local and
+dephasing tables (37, 84, 324 and 20 cells). The fig2a/fig2b rows also
+carry each cell's distance as ``discrepancy_sigma``.
 
 CSV output is UTF-8, comma separated, '.' decimal marker, floats at 17
 significant digits; identical inputs produce byte-identical files.
@@ -36,7 +42,7 @@ from .interferometer import (
     pair_phase,
     port_intensities,
 )
-from .source import DetuningGrid
+from .source import DetuningGrid, effective_grid
 
 
 class RunMode(Enum):
@@ -67,10 +73,6 @@ class ExperimentConfig:
         if self.n_pairs <= 0:
             raise ValueError("n_pairs must be positive")
 
-    @property
-    def effective_grid(self) -> DetuningGrid:
-        return self.grid if self.grid is not None else DetuningGrid.default_grid(self.delta_big)
-
 
 @dataclass(slots=True)
 class Table:
@@ -83,8 +85,6 @@ class Table:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return str(int(value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
@@ -159,46 +159,80 @@ def mc_estimates(
     return [one(eraser, seq) for eraser, seq in zip(erasers, seeds[1:])]
 
 
-def _discrepancy_sigma(analytic: float, estimate: CorrelationEstimate) -> float:
-    diff = abs(estimate.r_normalized - analytic)
-    if diff <= 1e-12:  # below the analytic roundoff scale both paths agree
-        return 0.0
-    if estimate.stat_error == 0:
-        return math.inf
-    return diff / estimate.stat_error
+_ALPHA = math.erfc(3.0 / math.sqrt(2.0))  # false-alarm rate of one cell checked at 3 sigma
 
 
-def _assemble(
-    base_columns: tuple[str, ...],
-    base_rows: list[tuple],
-    analytic: list[float] | None,
-    estimates: list[CorrelationEstimate] | None,
-    mode: RunMode,
-    value_name: str,
-) -> Table:
-    columns = list(base_columns)
-    rows = [list(r) for r in base_rows]
-    if mode in (RunMode.ANALYTIC, RunMode.BOTH):
-        columns.append(value_name)
-        for row, v in zip(rows, analytic):
-            row.append(v)
-    if mode in (RunMode.MC, RunMode.BOTH):
-        columns.extend([f"{value_name}_mc", f"{value_name}_mc_err"])
-        for row, est in zip(rows, estimates):
-            row.extend([est.r_normalized, est.stat_error])
-    if mode is RunMode.BOTH:
-        columns.append("discrepancy_sigma")
-        bad = []
-        for row, v, est in zip(rows, analytic, estimates):
-            sigma = _discrepancy_sigma(v, est)
-            row.append(sigma)
-            if sigma > 3.0:
-                bad.append((tuple(row), sigma))
-        if bad:
-            raise SelfCheckError(
-                f"{len(bad)} row(s) disagree beyond 3 sigma; first: {bad[0][0]} at {bad[0][1]:.2f} sigma"
-            )
-    return Table(tuple(columns), [tuple(r) for r in rows])
+def family_threshold(m: int) -> float:
+    """Two-sided z at which m independent cells raise a false alarm with
+    probability ``_ALPHA`` between them (Sidak); 3 for one cell."""
+    from statistics import NormalDist  # imported on use: it loads decimal and fractions
+
+    return NormalDist().inv_cdf(1.0 - (1.0 - (1.0 - _ALPHA) ** (1.0 / m)) / 2.0)
+
+
+def _self_check(what: str, cells: Iterable[tuple[float, float, float]]) -> list[float]:
+    """Each ``(analytic, stochastic, standard error)`` cell's discrepancy in
+    standard errors; raises SelfCheckError, naming cells by their position
+    in ``cells``, when any exceeds the family-wise threshold of the count."""
+    sigmas = []
+    for analytic, stochastic, err in cells:
+        diff = abs(stochastic - analytic)  # below 1e-12, the analytic roundoff scale, both paths agree
+        sigmas.append(0.0 if diff <= 1e-12 else diff / err if err else math.inf)
+    z = family_threshold(len(sigmas)) if sigmas else math.inf
+    bad = [f"cell {i} at {s:.2f}" for i, s in enumerate(sigmas) if s > z]
+    if bad:
+        raise SelfCheckError(
+            f"{len(bad)} of {len(sigmas)} {what} cell(s) disagree beyond {z:.3f} sigma: {', '.join(bad)}"
+        )
+    return sigmas
+
+
+def _binomial_cells(analytic: dict, stochastic: dict, n: int) -> list[tuple[float, float, float]]:
+    """Self-check cells of click fractions over ``n`` draws, column by column."""
+    return [
+        (p, est, math.sqrt(max(p * (1 - p), 1e-300) / n))
+        for a_col, s_col in zip(analytic.values(), stochastic.values())
+        for p, est in zip(a_col, s_col)
+    ]
+
+
+def _click_fraction(rng: np.random.Generator, p, n: int) -> float:
+    """Share of ``n`` draws that click with probability ``p`` (a scalar or
+    one probability per draw)."""
+    return float(np.count_nonzero(rng.random(n) < p)) / n
+
+
+def _columns(names: Sequence[str], rows: Sequence[Sequence]) -> dict[str, list]:
+    """The named columns of ``rows``."""
+    return {name: [row[k] for row in rows] for k, name in enumerate(names)}
+
+
+def _table(mode: RunMode, base: dict, analytic: dict, stochastic: dict, both: dict | None = None) -> Table:
+    """A table of named columns: ``base`` always, ``analytic`` unless the mode
+    is MC, ``stochastic`` unless it is ANALYTIC, ``both`` only in BOTH mode."""
+    columns = dict(base)
+    if mode is not RunMode.MC:
+        columns.update(analytic)
+    if mode is not RunMode.ANALYTIC:
+        columns.update(stochastic)
+    if mode is RunMode.BOTH and both:
+        columns.update(both)
+    return Table(tuple(columns), list(zip(*columns.values())))
+
+
+def _r_si_table(cfg: ExperimentConfig, base: dict, analytic: list[float], erasers: list) -> Table:
+    """fig2a/fig2b: ``r_si`` next to its Monte Carlo twin, one cell per row."""
+    stochastic, both = {}, None
+    if cfg.mode is not RunMode.ANALYTIC:
+        # stochastic path: accepted counts per analyzer setting, normalized
+        # by the aligned-analyzer reference counts; no detuning is drawn,
+        # since the gated rate does not depend on it
+        estimates = mc_estimates(erasers, cfg.n_pairs, cfg.seed)
+        stochastic = _columns(("r_si_mc", "r_si_mc_err"), [(e.r_normalized, e.stat_error) for e in estimates])
+    if cfg.mode is RunMode.BOTH:
+        cells = zip(analytic, stochastic["r_si_mc"], stochastic["r_si_mc_err"])
+        both = {"discrepancy_sigma": _self_check("r_si", cells)}
+    return _table(cfg.mode, base, {"r_si": analytic}, stochastic, both)
 
 
 DEFAULT_FIG2A_ANGLES_DEG = ((0.0, 0.0), (22.5, 22.5), (30.0, 15.0), (45.0, 45.0))
@@ -209,22 +243,14 @@ def run_fig2a(cfg: ExperimentConfig, angles_deg: Iterable[tuple[float, float]] |
     analyzer pair.  Within a fixed analyzer pair all rows coincide: the
     branch phase cancels in the gated product."""
     angles = tuple(angles_deg if angles_deg is not None else DEFAULT_FIG2A_ANGLES_DEG)
-    grid_values = cfg.effective_grid.values()
-    base_rows = []
-    analytic_col = []
-    erasers = []
-    for xi_deg, theta_deg in angles:
-        eraser = EraserSetting(math.radians(xi_deg), math.radians(theta_deg))
-        for df in grid_values:
-            base_rows.append((xi_deg, theta_deg, float(df)))
-            erasers.append(eraser)
-            analytic_col.append(analytic_r(setting_for(float(df), cfg.tau), eraser, raw=cfg.raw_values))
-    estimates = None
-    if cfg.mode in (RunMode.MC, RunMode.BOTH):
-        estimates = mc_estimates(erasers, cfg.n_pairs, cfg.seed)
-    return _assemble(
-        ("xi_deg", "theta_deg", "delta_f_hz"), base_rows, analytic_col, estimates, cfg.mode, "r_si"
-    )
+    grid_values = effective_grid(cfg.grid, cfg.delta_big).values()
+    rows = [(xi_deg, theta_deg, float(df)) for xi_deg, theta_deg in angles for df in grid_values]
+    erasers = [EraserSetting(math.radians(xi_deg), math.radians(theta_deg)) for xi_deg, theta_deg, _ in rows]
+    analytic = [
+        analytic_r(setting_for(df, cfg.tau), eraser, raw=cfg.raw_values)
+        for (_, _, df), eraser in zip(rows, erasers)
+    ]
+    return _r_si_table(cfg, _columns(("xi_deg", "theta_deg", "delta_f_hz"), rows), analytic, erasers)
 
 
 def default_fig2b_sweep() -> tuple[float, ...]:
@@ -236,28 +262,13 @@ def run_fig2b(cfg: ExperimentConfig, theta_deg: float = 0.0,
     """Grid-averaged zero-delay correlation against the summed analyzer
     angle; equals cos^2(xi + theta) pointwise."""
     sweep = tuple(xi_sweep_deg if xi_sweep_deg is not None else default_fig2b_sweep())
-    grid_values = cfg.effective_grid.values()
-    base_rows = []
-    analytic_col = []
-    erasers = []
-    for xi_deg in sweep:
-        eraser = EraserSetting(math.radians(xi_deg), math.radians(theta_deg))
-        per_detuning = [
-            analytic_r(setting_for(float(df), cfg.tau), eraser, raw=cfg.raw_values)
-            for df in grid_values
-        ]
-        base_rows.append((xi_deg, theta_deg, xi_deg + theta_deg))
-        analytic_col.append(float(np.mean(per_detuning)))
-        erasers.append(eraser)
-    estimates = None
-    if cfg.mode in (RunMode.MC, RunMode.BOTH):
-        # stochastic path: accepted counts per analyzer setting, normalized
-        # by the aligned-analyzer reference counts; no detuning is drawn,
-        # since the gated rate does not depend on it
-        estimates = mc_estimates(erasers, cfg.n_pairs, cfg.seed)
-    return _assemble(
-        ("xi_deg", "theta_deg", "xi_plus_theta_deg"), base_rows, analytic_col, estimates, cfg.mode, "r_si"
-    )
+    grid_values = effective_grid(cfg.grid, cfg.delta_big).values()
+    erasers = [EraserSetting(math.radians(xi_deg), math.radians(theta_deg)) for xi_deg in sweep]
+    settings = [setting_for(float(df), cfg.tau) for df in grid_values]
+    analytic = [float(np.mean([analytic_r(setting, eraser, raw=cfg.raw_values) for setting in settings]))
+                for eraser in erasers]
+    rows = [(xi_deg, theta_deg, xi_deg + theta_deg) for xi_deg in sweep]
+    return _r_si_table(cfg, _columns(("xi_deg", "theta_deg", "xi_plus_theta_deg"), rows), analytic, erasers)
 
 
 def default_local_taus(delta_big: float, periods: float = 2.0, points_per_period: int = 40) -> np.ndarray:
@@ -282,39 +293,22 @@ def run_local(
     df = cfg.delta_big if delta_f is None else delta_f
     tau_values = np.asarray(taus if taus is not None else default_local_taus(cfg.delta_big))
 
-    base_rows = []
-    quartet = []
+    rows = []
     for tau in tau_values:
         setting = setting_for(df, float(tau))
         port_a, port_b = output_fields(setting)
         e_s, e_i = eraser_amplitudes(setting, eraser)
-        i_a, i_b = local_intensity(port_a), local_intensity(port_b)
-        i_s, i_i = eraser_intensity(e_s), eraser_intensity(e_i)
-        base_rows.append((float(tau), df, setting.phase))
-        quartet.append((i_a, i_b, i_s, i_i))
-
-    columns = ["tau_s", "delta_f_hz", "phi_rad"]
-    rows = [list(r) for r in base_rows]
-    names = ("i_a", "i_b", "i_s", "i_i")
-    if cfg.mode in (RunMode.ANALYTIC, RunMode.BOTH):
-        columns.extend(names)
-        for row, vals in zip(rows, quartet):
-            row.extend(vals)
-    if cfg.mode in (RunMode.MC, RunMode.BOTH):
+        rows.append((float(tau), df, setting.phase, local_intensity(port_a), local_intensity(port_b),
+                     eraser_intensity(e_s), eraser_intensity(e_i)))
+    analytic = _columns(("i_a", "i_b", "i_s", "i_i"), [row[3:] for row in rows])
+    stochastic = {}
+    if cfg.mode is not RunMode.ANALYTIC:
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
-        columns.extend([f"{n}_mc" for n in names])
-        bad = []
-        for row, vals in zip(rows, quartet):
-            draws = [float(np.count_nonzero(rng.random(cfg.n_pairs) < p)) / cfg.n_pairs for p in vals]
-            row.extend(draws)
-            if cfg.mode is RunMode.BOTH:
-                for p, est in zip(vals, draws):
-                    sigma = math.sqrt(max(p * (1 - p), 1e-300) / cfg.n_pairs)
-                    if abs(est - p) > 3.0 * sigma:
-                        bad.append((row[0], p, est))
-        if bad:
-            raise SelfCheckError(f"{len(bad)} local intensity cell(s) disagree beyond 3 sigma")
-    return Table(tuple(columns), [tuple(r) for r in rows])
+        draws = [[_click_fraction(rng, p, cfg.n_pairs) for p in row[3:]] for row in rows]
+        stochastic = _columns([f"{name}_mc" for name in analytic], draws)
+    if cfg.mode is RunMode.BOTH:
+        _self_check("local intensity", _binomial_cells(analytic, stochastic, cfg.n_pairs))
+    return _table(cfg.mode, _columns(("tau_s", "delta_f_hz", "phi_rad"), rows), analytic, stochastic)
 
 
 def default_dephasing_taus(delta_big: float) -> np.ndarray:
@@ -344,37 +338,17 @@ def run_dephasing(
     rng = np.random.default_rng(cfg.seed)
     detunings = sample_law.sample(rng, n_samples)
 
-    analytic = cfg.mode in (RunMode.ANALYTIC, RunMode.BOTH)
-    mc = cfg.mode in (RunMode.MC, RunMode.BOTH)
-    columns = ["tau_s"]
-    if analytic:
-        columns += ["mean_i_s", "mean_i_i"]
-    if mc:
-        columns += ["mean_i_s_mc", "mean_i_i_mc"]
-    rows = []
-    bad = []
+    analytic = {"mean_i_s": [], "mean_i_i": []}
+    stochastic = {"mean_i_s_mc": [], "mean_i_i_mc": []} if cfg.mode is not RunMode.ANALYTIC else {}
     for tau in tau_values:
-        phi = pair_phase(detunings, float(tau))
-        i_s, i_i = port_intensities(eraser.xi, eraser.theta, phi)
-        means = (float(np.mean(i_s)), float(np.mean(i_i)))
-        row = [float(tau)]
-        if analytic:
-            row.extend(means)
-        if mc:
-            clicks = (
-                float(np.count_nonzero(rng.random(n_samples) < i_s)) / n_samples,
-                float(np.count_nonzero(rng.random(n_samples) < i_i)) / n_samples,
-            )
-            row.extend(clicks)
-            if cfg.mode is RunMode.BOTH:
-                for p, est in zip(means, clicks):
-                    sigma = math.sqrt(max(p * (1 - p), 1e-300) / n_samples)
-                    if abs(est - p) > 3.0 * sigma:
-                        bad.append((float(tau), p, est))
-        rows.append(tuple(row))
-    if bad:
-        raise SelfCheckError(f"{len(bad)} dephasing cell(s) disagree beyond 3 sigma")
-    return Table(tuple(columns), rows)
+        intensities = port_intensities(eraser.xi, eraser.theta, pair_phase(detunings, float(tau)))
+        for column, i in zip(analytic.values(), intensities):
+            column.append(float(np.mean(i)))
+        for column, i in zip(stochastic.values(), intensities):  # the i_s draw, then the i_i draw
+            column.append(_click_fraction(rng, i, n_samples))
+    if cfg.mode is RunMode.BOTH:
+        _self_check("dephasing", _binomial_cells(analytic, stochastic, n_samples))
+    return _table(cfg.mode, {"tau_s": [float(tau) for tau in tau_values]}, analytic, stochastic)
 
 
 CANONICAL_CHSH_DEG = (0.0, 45.0, -22.5, -67.5)
@@ -419,40 +393,30 @@ def run_chsh(
     e_vals = [e_analytic(x, y) for x, y in pairs]
     s_analytic = abs(e_vals[0] - e_vals[1] + e_vals[2] + e_vals[3])
 
-    columns = ["alpha_deg", "beta_deg", "e"]
-    rows = [
-        [math.degrees(x), math.degrees(y), e] for (x, y), e in zip(pairs, e_vals)
-    ]
-    s_mc = s_mc_err = None
-    if cfg.mode in (RunMode.MC, RunMode.BOTH):
+    rows = [(math.degrees(x), math.degrees(y), e) for (x, y), e in zip(pairs, e_vals)]
+    stochastic, s_mc, s_mc_err = {}, None, None
+    if cfg.mode is not RunMode.ANALYTIC:
         if tau_si != 0.0:
             raise ValueError("the stochastic CHSH estimator is defined at zero electronic delay")
         seeds = np.random.SeedSequence(cfg.seed).spawn(len(pairs))
-        columns.extend(["e_mc", "e_mc_err"])
-        e_mc_vals = []
-        sign = [1.0, -1.0, 1.0, 1.0]
-        var_s = 0.0
-        for row, (alpha, beta), seq in zip(rows, pairs, seeds):
+        e_mc, var_e = [], []
+        for (alpha, beta), seq in zip(pairs, seeds):
             rng = np.random.default_rng(seq)
-            counts = []
-            for x, y in _chsh_subsettings(alpha, beta):
-                _, acc = sample_coincidence_counts(cfg.n_pairs, EraserSetting(x, y), rng)
-                counts.append(acc)
+            counts = [
+                sample_coincidence_counts(cfg.n_pairs, EraserSetting(x, y), rng)[1]
+                for x, y in _chsh_subsettings(alpha, beta)
+            ]
             n_plus = counts[0] + counts[1]
             n_minus = counts[2] + counts[3]
             total = n_plus + n_minus
             if total == 0:
                 raise RuntimeError("no coincidences accumulated for a CHSH sub-setting")
-            e_mc = (n_plus - n_minus) / total
-            var_e = 4.0 * (n_minus**2 * n_plus + n_plus**2 * n_minus) / total**4
-            row.extend([e_mc, math.sqrt(var_e)])
-            e_mc_vals.append(e_mc)
-            var_s += var_e
-        s_mc = abs(e_mc_vals[0] - e_mc_vals[1] + e_mc_vals[2] + e_mc_vals[3])
-        s_mc_err = math.sqrt(var_s)
-        if cfg.mode is RunMode.BOTH and abs(s_mc - s_analytic) > 3.0 * s_mc_err:
-            raise SelfCheckError(
-                f"CHSH disagreement: analytic {s_analytic:.6f} vs stochastic {s_mc:.6f} +- {s_mc_err:.6f}"
-            )
-    table = Table(tuple(columns), [tuple(r) for r in rows])
+            e_mc.append((n_plus - n_minus) / total)
+            var_e.append(4.0 * (n_minus**2 * n_plus + n_plus**2 * n_minus) / total**4)
+        stochastic = {"e_mc": e_mc, "e_mc_err": [math.sqrt(v) for v in var_e]}
+        s_mc = abs(e_mc[0] - e_mc[1] + e_mc[2] + e_mc[3])
+        s_mc_err = math.sqrt(sum(var_e))
+        if cfg.mode is RunMode.BOTH:
+            _self_check("CHSH S", [(s_analytic, s_mc, s_mc_err)])
+    table = _table(cfg.mode, _columns(("alpha_deg", "beta_deg", "e"), rows), {}, stochastic)
     return ChshResult(table, s_analytic, s_mc, s_mc_err)

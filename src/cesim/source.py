@@ -64,6 +64,11 @@ class DetuningGrid:
         return values[rng.integers(0, len(values), n)]
 
 
+def effective_grid(grid: DetuningGrid | None, delta_big: float) -> DetuningGrid:
+    """``grid``, or the default grid of ``delta_big`` when it is None."""
+    return grid if grid is not None else DetuningGrid.default_grid(delta_big)
+
+
 @dataclass(frozen=True, slots=True)
 class SourceConfig:
     mu: float = 0.1
@@ -79,10 +84,6 @@ class SourceConfig:
             raise ValueError("rate must be positive")
         if not math.isfinite(self.delta_big) or self.delta_big <= 0:
             raise ValueError("delta_big must be positive")
-
-    @property
-    def effective_grid(self) -> DetuningGrid:
-        return self.grid if self.grid is not None else DetuningGrid.default_grid(self.delta_big)
 
     @property
     def pair_rate(self) -> float:
@@ -123,7 +124,7 @@ def sample_n_pairs(cfg: SourceConfig, n: int) -> PairBatch:
     rng = np.random.default_rng(cfg.seed)
     gaps = rng.exponential(1.0 / cfg.pair_rate, n)
     t_emit_s = np.cumsum(gaps)
-    delta_f = cfg.effective_grid.sample(rng, n)
+    delta_f = effective_grid(cfg.grid, cfg.delta_big).sample(rng, n)
     orientation = (rng.integers(0, 2, n, dtype=np.int8) * 2 - 1).astype(np.int8)
     route1 = rng.integers(1, 3, n, dtype=np.uint8)
     route2 = rng.integers(1, 3, n, dtype=np.uint8)

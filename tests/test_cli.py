@@ -297,6 +297,12 @@ class TestCommands:
         assert code == 0
         assert float(out.split("=")[1]) == pytest.approx(1.0 / 16.0, abs=1e-12)
 
+    def test_local_mode_both_passes_on_default_seed(self, capsys):
+        # 324 cells: a per-cell 3-sigma check fails this run on a correct simulator
+        code, out, err = run_cli(["local", "--mode", "both"], capsys)
+        assert code == 0, err
+        assert out.splitlines()[0].endswith("i_i,i_a_mc,i_b_mc,i_s_mc,i_i_mc")
+
     def test_mode_both_runs(self, tmp_path, capsys):
         out_path = tmp_path / "f.csv"
         code, _, _ = run_cli(

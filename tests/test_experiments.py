@@ -10,8 +10,10 @@ from cesim.experiments import (
     RunMode,
     SelfCheckError,
     Table,
+    _self_check,
     analytic_r,
     emit_csv,
+    family_threshold,
     mc_estimates,
     run_chsh,
     run_dephasing,
@@ -231,6 +233,114 @@ class TestMcEstimates:
                 ExperimentConfig(mode=RunMode.BOTH, n_pairs=100_000, seed=19),
                 xi_sweep_deg=[0.0, 45.0],
             )
+
+
+class TestSelfCheck:
+    def test_one_cell_is_three_sigma(self):
+        assert family_threshold(1) == pytest.approx(3.0, abs=1e-12)
+
+    def test_threshold_rises_with_cell_count(self):
+        thresholds = [family_threshold(m) for m in (1, 2, 20, 37, 84, 324, 10_000)]
+        assert all(lo < hi for lo, hi in zip(thresholds, thresholds[1:]))
+        assert [round(z, 3) for z in thresholds[2:6]] == [3.817, 3.966, 4.157, 4.456]
+
+    def test_sigma_per_cell(self):
+        cells = [(0.5, 0.5 + 1e-13, 0.0), (0.5, 0.52, 0.01), (0.5, 0.49, 0.01)]
+        assert _self_check("unit", cells) == [0.0, pytest.approx(2.0), pytest.approx(1.0)]
+        assert _self_check("unit", []) == []
+
+    def test_zero_error_with_a_difference_fails(self):
+        with pytest.raises(SelfCheckError, match="1 of 1 unit cell"):
+            _self_check("unit", [(0.5, 0.6, 0.0)])
+
+    def test_message_names_every_bad_cell_and_the_threshold(self):
+        cells = [(0.0, 0.05, 0.01), (0.0, 0.0, 0.01), (0.0, -0.1, 0.01)]
+        with pytest.raises(SelfCheckError) as exc:
+            _self_check("unit", cells)
+        message = str(exc.value)
+        assert f"2 of 3 unit cell(s) disagree beyond {family_threshold(3):.3f} sigma" in message
+        assert "cell 0 at 5.00" in message and "cell 2 at 10.00" in message
+        assert "cell 1 " not in message
+
+
+BASE_COLUMNS = {
+    "fig2a": ("xi_deg", "theta_deg", "delta_f_hz"),
+    "fig2b": ("xi_deg", "theta_deg", "xi_plus_theta_deg"),
+    "local": ("tau_s", "delta_f_hz", "phi_rad"),
+    "dephasing": ("tau_s",),
+    "chsh": ("alpha_deg", "beta_deg", "e"),
+}
+ANALYTIC_COLUMNS = {
+    "fig2a": ("r_si",),
+    "fig2b": ("r_si",),
+    "local": ("i_a", "i_b", "i_s", "i_i"),
+    "dephasing": ("mean_i_s", "mean_i_i"),
+    "chsh": (),
+}
+MC_COLUMNS = {
+    "fig2a": ("r_si_mc", "r_si_mc_err"),
+    "fig2b": ("r_si_mc", "r_si_mc_err"),
+    "local": ("i_a_mc", "i_b_mc", "i_s_mc", "i_i_mc"),
+    "dephasing": ("mean_i_s_mc", "mean_i_i_mc"),
+    "chsh": ("e_mc", "e_mc_err"),
+}
+BOTH_COLUMNS = {"fig2a": ("discrepancy_sigma",), "fig2b": ("discrepancy_sigma",)}
+
+
+def _small_run(runner: str, cfg: ExperimentConfig) -> Table:
+    if runner == "fig2a":
+        return run_fig2a(cfg, angles_deg=[(30.0, 15.0)])
+    if runner == "fig2b":
+        return run_fig2b(cfg, xi_sweep_deg=[0.0, 30.0, 60.0])
+    if runner == "local":
+        return run_local(cfg, taus=[0.0, 1e-7, 2e-7])
+    if runner == "dephasing":
+        return run_dephasing(cfg, taus=[0.0, 1e-6], n_samples=20_000)
+    return run_chsh(cfg).table
+
+
+@pytest.mark.parametrize("mode", list(RunMode), ids=lambda mode: mode.value)
+@pytest.mark.parametrize("runner", list(BASE_COLUMNS))
+def test_column_names(runner, mode):
+    table = _small_run(runner, ExperimentConfig(mode=mode, n_pairs=20_000, seed=3))
+    expected = BASE_COLUMNS[runner]
+    if mode is not RunMode.MC:
+        expected += ANALYTIC_COLUMNS[runner]
+    if mode is not RunMode.ANALYTIC:
+        expected += MC_COLUMNS[runner]
+    if mode is RunMode.BOTH:
+        expected += BOTH_COLUMNS.get(runner, ())
+    assert table.columns == expected
+    assert all(len(row) == len(expected) for row in table.rows)
+
+
+class TestPlantedBias:
+    """A twin that is off by a planted bias must fail the BOTH-mode check."""
+
+    @pytest.fixture
+    def biased_clicks(self, monkeypatch):
+        import cesim.experiments as exp
+
+        honest = exp._click_fraction
+        monkeypatch.setattr(exp, "_click_fraction", lambda rng, p, n: honest(rng, p, n) + 0.03)
+
+    def test_local(self, biased_clicks):
+        cfg = ExperimentConfig(mode=RunMode.BOTH, n_pairs=20_000, seed=3)
+        with pytest.raises(SelfCheckError, match="local intensity cell"):
+            run_local(cfg, taus=[0.0, 1e-7, 2e-7])
+
+    def test_dephasing(self, biased_clicks):
+        cfg = ExperimentConfig(mode=RunMode.BOTH, seed=3)
+        with pytest.raises(SelfCheckError, match="dephasing cell"):
+            run_dephasing(cfg, taus=[0.0, 1e-6], n_samples=20_000)
+
+    def test_chsh(self, monkeypatch):
+        import cesim.experiments as exp
+
+        honest = exp.analytic_r
+        monkeypatch.setattr(exp, "analytic_r", lambda *args, **kw: 0.95 * honest(*args, **kw))
+        with pytest.raises(SelfCheckError, match="1 of 1 CHSH S cell"):
+            exp.run_chsh(ExperimentConfig(mode=RunMode.BOTH, n_pairs=200_000, seed=13))
 
 
 class TestCsv:
