@@ -247,9 +247,9 @@ def _cmd_fig2a(options: dict) -> int:
     if options["xi-deg"] is not None or options["theta-deg"] is not None:
         xi = options["xi-deg"] if options["xi-deg"] is not None else 0.0
         theta = options["theta-deg"] if options["theta-deg"] is not None else 0.0
-        table = experiments.run_fig2a(cfg, angles_deg=[(xi, theta)])
+        table = _build(experiments.run_fig2a, cfg=cfg, angles_deg=[(xi, theta)])
     else:
-        table = experiments.run_fig2a(cfg)
+        table = _build(experiments.run_fig2a, cfg=cfg)
     _deliver(table, options)
     return 0
 
@@ -257,7 +257,7 @@ def _cmd_fig2a(options: dict) -> int:
 def _cmd_fig2b(options: dict) -> int:
     cfg = _experiment_config(options)
     theta = options["theta-deg"] if options["theta-deg"] is not None else 0.0
-    table = experiments.run_fig2b(cfg, theta_deg=theta)
+    table = _build(experiments.run_fig2b, cfg=cfg, theta_deg=theta)
     _deliver(table, options)
     return 0
 
@@ -368,7 +368,8 @@ def run(invocation: CliInvocation) -> int:
         print(f"self-check failed: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
-        print(f"i/o error on {getattr(exc, 'filename', '?')}: {exc.strerror or exc}", file=sys.stderr)
+        where = "" if exc.filename is None else f" on {exc.filename}"
+        print(f"i/o error{where}: {exc.strerror or exc}", file=sys.stderr)
         return 1
 
 

@@ -67,16 +67,6 @@ class SelectionRule:
         shared polarization means opposite arms of origin."""
         return cls(sum(1 << (4 * tag + (tag ^ FLAG_BRANCH_PLUS)) for tag in range(4)))
 
-    @classmethod
-    def inverted(cls) -> "SelectionRule":
-        """Complement of the heterodyne rule (diagnostics only)."""
-        return cls(~cls.heterodyne().mask & 0xFFFF)
-
-    @classmethod
-    def cross_port_only(cls) -> "SelectionRule":
-        """Keep every cross-port pair; disables the heterodyne gating."""
-        return cls(0xFFFF)
-
 
 _HETERODYNE = SelectionRule.heterodyne()
 
@@ -195,23 +185,19 @@ def outcome_probabilities(shared_path: int | None, eraser: EraserSetting | None)
     return (0.0, p_rej, p_d1, p_d2, p_none, 0.25, 0.25)
 
 
-def accepted_route_split(eraser: EraserSetting) -> float:
-    """P(the arm-1 photon sits at port A | accepted coincidence)."""
-    w1 = (math.sin(eraser.xi) * math.sin(eraser.theta)) ** 2
-    w2 = (math.cos(eraser.xi) * math.cos(eraser.theta)) ** 2
-    return 0.5 if w1 + w2 == 0 else w1 / (w1 + w2)
-
-
-def lone_click_route_split(eraser: EraserSetting, port: int) -> float:
-    """P(the arm-1 photon sits at port A | exactly one cross-port click, at
-    ``port`` 0 (A) or 1 (B))."""
-    if port == 0:
-        w1 = (math.sin(eraser.xi) * math.cos(eraser.theta)) ** 2
-        w2 = (math.cos(eraser.xi) * math.sin(eraser.theta)) ** 2
-    else:
-        w1 = (math.cos(eraser.xi) * math.sin(eraser.theta)) ** 2
-        w2 = (math.sin(eraser.xi) * math.cos(eraser.theta)) ** 2
-    return 0.5 if w1 + w2 == 0 else w1 / (w1 + w2)
+def route_split(eraser: EraserSetting) -> tuple[float, ...]:
+    """P(the arm-1 photon sits at port A | the outcome of a cross-path
+    pair), indexed by ``Outcome``; 1/2 where the clicks do not depend on it."""
+    s_xi, c_xi, s_th, c_th = (f(a) for a in (eraser.xi, eraser.theta) for f in (math.sin, math.cos))
+    splits = [0.5] * len(Outcome)
+    for outcome, w1, w2 in (
+        (Outcome.COINCIDENCE, (s_xi * s_th) ** 2, (c_xi * c_th) ** 2),
+        (Outcome.ONLY_D1, (s_xi * c_th) ** 2, (c_xi * s_th) ** 2),
+        (Outcome.ONLY_D2, (c_xi * s_th) ** 2, (s_xi * c_th) ** 2),
+    ):
+        if w1 + w2 != 0:
+            splits[outcome] = w1 / (w1 + w2)
+    return tuple(splits)
 
 
 def _pair_state(route1, route2, port1, port2, sign):

@@ -39,10 +39,9 @@ from .detection import (
     CoincidenceSetting,
     Outcome,
     SelectionRule,
-    accepted_route_split,
-    lone_click_route_split,
     mode_tag,
     outcome_probabilities,
+    route_split,
 )
 from .interferometer import EraserSetting
 from .source import PairBatch
@@ -487,6 +486,52 @@ def fit_decay_ps(hist: TauHistogram, min_count: int = 10) -> float:
     return -1.0 / slope
 
 
+def _analyzer_slots(outcome: Outcome, route1: int, route2: int, arm1_at_a: int, eraser: EraserSetting):
+    """The two photon slots of a pair behind the analyzers.  A click's rank
+    is 4 * outcome plus the block that wrote it: a cross-path pair's
+    arm-1-at-A block, its other block, then the shared-arm-1 and
+    shared-arm-2 blocks; or a bunched pair's photon, 1 before 2."""
+    if outcome in (Outcome.SAME_PORT_A, Outcome.SAME_PORT_B):
+        # both photons on one detector, independent transmissions
+        channel = outcome - Outcome.SAME_PORT_A
+        angle = eraser.xi if channel == 0 else eraser.theta
+        p_h, p_v = math.cos(angle) ** 2, math.sin(angle) ** 2
+        return tuple(
+            (arm, channel, 4 * outcome + k, p_v if mode_tag(arm, channel, 1) & FLAG_POL_V else p_h)
+            for k, arm in enumerate((route1, route2))
+        )
+    if route1 != route2:  # of a cross-path pair only the photons at clicking ports
+        arm_at, block, both = ((1, 2) if arm1_at_a else (2, 1)), 1 - arm1_at_a, Outcome.COINCIDENCE
+    else:
+        arm_at, block, both = (route1, route1), 1 + route1, Outcome.REJECTED_COINCIDENCE
+    clicks = (outcome in (both, Outcome.ONLY_D1), outcome in (both, Outcome.ONLY_D2))
+    return tuple((arm_at[ch], ch, 4 * outcome + block, 1.0) if clicks[ch] else None for ch in (0, 1))
+
+
+def _click_table(eraser: EraserSetting | None) -> np.ndarray:
+    """The one click table: row 4 * state + 2 * plus + slot holds the
+    channel, mode tag, emit rank and click probability of photon slot
+    ``slot`` of a pair in ``state`` whose arm 1 carries the positive
+    branch when ``plus`` is 1.  With arms = 2 * route1 + route2 - 3, the
+    state is arms + 4 * port1 + 8 * port2 without analyzers, where every
+    photon clicks at its port, and 2 * (4 * outcome + arms) + arm1_at_a
+    behind them."""
+    if eraser is None:
+        ports = ((p1, p2) for p2 in (0, 1) for p1 in (0, 1))
+        states = [((r1, p1, 0, 1.0), (r2, p2, 1, 1.0)) for p1, p2 in ports for r1 in (1, 2) for r2 in (1, 2)]
+    else:
+        states = [
+            _analyzer_slots(outcome, r1, r2, arm1_at_a, eraser)
+            for outcome in Outcome for r1 in (1, 2) for r2 in (1, 2) for arm1_at_a in (0, 1)
+        ]
+    rows = [slot or (1, 0, 0, 0.0) for slots in states for _ in (-1, 1) for slot in slots]
+    arm, channel, rank, p_click = (np.array(column) for column in zip(*rows))
+    table = np.empty(len(rows), dtype=[("channel", "u1"), ("tag", "u1"), ("rank", "u1"), ("p_click", "<f8")])
+    table["channel"], table["rank"], table["p_click"] = channel, rank, p_click
+    table["tag"] = mode_tag(arm, channel, np.tile([-1, -1, 1, 1], len(states)))
+    return table
+
+
 def synthesize_stream(
     batch: PairBatch,
     eraser: EraserSetting | None = None,
@@ -501,6 +546,8 @@ def synthesize_stream(
     distribution; the class dictates which detectors click and with which
     mode tags.  D2 clicks trail D1 by the fixed electronic delay, plus an
     exponential spread of scale tau_c / 2 per pair when ``jitter`` is on.
+    Clicks that share a timestamp and a channel appear in emit-rank order,
+    then in pair order, so a fixed seed gives a fixed file.
     """
     cs = coincidence if coincidence is not None else CoincidenceSetting()
     rng = np.random.default_rng(seed)
@@ -510,107 +557,68 @@ def synthesize_stream(
     if jitter:
         delay_s = delay_s + rng.exponential(cs.tau_c / 2.0, n)
     delay_ps = np.rint(delay_s * 1e12).astype(np.int64)
+    del delay_s
 
-    s1 = batch.orientation_sign.astype(np.int8)  # branch sign of arm 1
-
-    # Each photon clicks at most once, so 2 * n rows hold every click.  They
-    # fill in emit order, which fixes the order of clicks that share a
-    # timestamp and a channel, and with it the stream's bytes.
-    key = np.empty(2 * n, dtype=np.uint64)  # (t_ps << 1) | channel
-    tags = np.empty(2 * n, dtype=np.uint8)
-    pair_id = np.empty(2 * n, dtype=np.uint32)
-    filled = 0
-
-    def emit(idx, channel, route):
-        """Clicks at detector ``channel`` of the photons from arm ``route``."""
-        nonlocal filled
-        t = t_emit[idx] + (delay_ps[idx] if channel == 1 else 0)
-        if np.any(t < 0):  # wrapped around the int64 range
-            raise TimestampRangeError("timestamp at or above 2**63 ps")
-        rows = slice(filled, filled + len(idx))
-        key[rows] = (t.astype(np.uint64) << 1) | channel
-        tags[rows] = mode_tag(route, channel, s1[idx])
-        pair_id[rows] = batch.pair_id[idx]
-        filled = rows.stop
-
-    def build() -> TagStream:
-        # Below 2**63, t_ps << 1 fits the unsigned key, whose order is time,
-        # then D1 before D2; the stable sort keeps emit order within a tie.
-        order = np.argsort(key[:filled], kind="stable")
-        sorted_key = key[order]
-        channel = (sorted_key & 1).astype(np.uint8)
-        sorted_key >>= 1
-        return TagStream.from_fields(sorted_key, channel, tags[order], pair_id[order])
-
+    table = _click_table(eraser)
+    arms = 2 * batch.route1 + batch.route2 - 3  # (1, 1), (1, 2), (2, 1), (2, 2) -> 0..3
     if eraser is None:
-        for route, port in ((batch.route1, batch.port1), (batch.route2, batch.port2)):
-            for channel in (0, 1):
-                idx = np.flatnonzero(port == channel)
-                emit(idx, channel, route[idx])
-        return build()
+        state = arms + 4 * batch.port1 + 8 * batch.port2
+    else:
+        # A pair's outcome is the number of its arms' class edges at or
+        # below u_class (searchsorted, side="right").  That number is fixed
+        # between two neighbouring cuts, the edges of all arms, so
+        # outcome_at[arms, j] holds it for a draw with j cuts at or below it.
+        edges = [np.cumsum(outcome_probabilities(shared, eraser))[:-1] for shared in (1, None, None, 2)]
+        cuts = sorted(set(np.concatenate(edges).tolist()))
+        outcome_at = np.array([np.searchsorted(e, [-1.0, *cuts], side="right") for e in edges], np.uint8)
+        u = rng.random(n)  # u_class
+        at = arms * np.uint8(len(cuts) + 1)
+        for cut in cuts:
+            at += u >= cut
+        outcome = outcome_at.ravel()[at]
+        rng.random(out=u)  # u_route
+        state = (4 * outcome + arms) * 2 + (u < np.array(route_split(eraser))[outcome])
+    state = 2 * state + (batch.orientation_sign > 0)
+    code = (2 * state)[:, None] + np.arange(2, dtype=np.uint8)  # the rows of slots 0 and 1
+    keep = np.ones((n, 2), dtype=bool)
+    if eraser is not None:
+        for slot in (0, 1):  # the u_m1, then the u_m2 draw
+            rng.random(out=u)
+            keep[:, slot] = u < table["p_click"][code[:, slot]]
+        del u
 
-    u_class = rng.random(n)
-    u_route = rng.random(n)
-    u_m1 = rng.random(n)
-    u_m2 = rng.random(n)
-
-    cross = batch.cross_mask
-    cls = np.full(n, -1, dtype=np.int64)  # an Outcome per pair
-
-    def classify(mask, shared_path):
-        edges = np.cumsum(outcome_probabilities(shared_path, eraser))[:-1]
-        cls[mask] = np.searchsorted(edges, u_class[mask], side="right")
-
-    classify(cross, None)
-    classify(~cross & (batch.route1 == 1), 1)
-    classify(~cross & (batch.route1 == 2), 2)
-
-    def cls_idx(outcome, extra_mask=None):
-        m = cls == outcome
-        if extra_mask is not None:
-            m &= extra_mask
-        return np.flatnonzero(m)
-
-    # accepted coincidences: the route choice decides the shared polarization
-    idx = cls_idx(Outcome.COINCIDENCE, cross)
-    arm1_at_a = u_route[idx] < accepted_route_split(eraser)
-    emit(idx[arm1_at_a], 0, 1)
-    emit(idx[arm1_at_a], 1, 2)
-    rest = idx[~arm1_at_a]
-    emit(rest, 0, 2)
-    emit(rest, 1, 1)
-
-    # rejected coincidences (same-path pairs behind analyzers)
-    for path_value in (1, 2):
-        idx = cls_idx(Outcome.REJECTED_COINCIDENCE, ~cross & (batch.route1 == path_value))
-        emit(idx, 0, path_value)
-        emit(idx, 1, path_value)
-
-    # lone clicks; of a cross-path pair only the photon at the clicking
-    # port is detected
-    for outcome, channel in ((Outcome.ONLY_D1, 0), (Outcome.ONLY_D2, 1)):
-        idx = cls_idx(outcome, cross)
-        arm1_at_a = u_route[idx] < lone_click_route_split(eraser, channel)
-        emit(idx[arm1_at_a], channel, 1 if channel == 0 else 2)
-        emit(idx[~arm1_at_a], channel, 2 if channel == 0 else 1)
-        for path_value in (1, 2):
-            emit(cls_idx(outcome, ~cross & (batch.route1 == path_value)), channel, path_value)
-
-    # bunched outcomes: both photons on one detector, independent transmissions
-    for outcome, channel, angle in (
-        (Outcome.SAME_PORT_A, 0, eraser.xi),
-        (Outcome.SAME_PORT_B, 1, eraser.theta),
-    ):
-        c2 = math.cos(angle) ** 2
-        s2 = math.sin(angle) ** 2
-        idx = cls_idx(outcome)
-        for route, u_m in ((batch.route1, u_m1), (batch.route2, u_m2)):
-            pol_v = mode_tag(route[idx], channel, s1[idx]) & FLAG_POL_V
-            p_pass = np.where(pol_v, s2, c2)
-            passed = idx[u_m[idx] < p_pass]
-            emit(passed, channel, route[passed])
-
-    return build()
+    channel = table["channel"][code]
+    key = np.empty((n, 2), dtype=np.int64)  # t_ps, then the sort key
+    for slot in (0, 1):
+        np.multiply(delay_ps, channel[:, slot], out=key[:, slot])
+        key[:, slot] += t_emit
+    del t_emit, delay_ps
+    if np.any((key < 0) & keep):  # wrapped around the int64 range
+        raise TimestampRangeError("timestamp at or above 2**63 ps")
+    # Below 2**63, t_ps << 1 fits the unsigned key, whose order is time,
+    # then D1 before D2.
+    key = key.view(np.uint64)
+    key <<= 1
+    key |= channel
+    # Pair-major rows keep the stable sort's input nearly in order, and
+    # its ties in pair order, which is emit order within a pair.
+    rows = np.flatnonzero(keep)
+    key = key.ravel()[rows]
+    order = np.argsort(key, kind="stable")
+    key, rows = key[order], rows[order]
+    del order
+    code = code.ravel()[rows]
+    pair = rows
+    pair >>= 1
+    same = key[1:] == key[:-1]
+    mixed = same & (pair[1:] != pair[:-1])
+    if mixed.any():  # runs of equal keys that mix pairs go in (rank, pair) order
+        run = np.concatenate(([0], np.cumsum(~same)))
+        tied = np.flatnonzero(np.isin(run, run[1:][mixed]))
+        by_rank = tied[np.lexsort((pair[tied], table["rank"][code[tied]], run[tied]))]
+        code[tied], pair[tied] = code[by_rank], pair[by_rank]
+    key >>= 1
+    return TagStream.from_fields(key, table["channel"][code], table["tag"][code], batch.pair_id[pair])
 
 
 def write_histogram_csv(hist: TauHistogram, path) -> None:

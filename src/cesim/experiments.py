@@ -79,10 +79,6 @@ class Table:
     columns: tuple[str, ...]
     rows: list[tuple]
 
-    def column(self, name: str) -> list:
-        i = self.columns.index(name)
-        return [row[i] for row in self.rows]
-
 
 def _fmt(value) -> str:
     if isinstance(value, (int, np.integer)):
@@ -222,6 +218,8 @@ def _table(mode: RunMode, base: dict, analytic: dict, stochastic: dict, both: di
 
 def _r_si_table(cfg: ExperimentConfig, base: dict, analytic: list[float], erasers: list) -> Table:
     """fig2a/fig2b: ``r_si`` next to its Monte Carlo twin, one cell per row."""
+    if cfg.raw_values and cfg.mode is not RunMode.ANALYTIC:
+        raise ValueError("raw values have no stochastic twin; use the analytic mode")
     stochastic, both = {}, None
     if cfg.mode is not RunMode.ANALYTIC:
         # stochastic path: accepted counts per analyzer setting, normalized

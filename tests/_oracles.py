@@ -2,7 +2,10 @@
 
 Everything here is deliberately written from first principles with raw
 complex arithmetic and exhaustive enumeration, sharing no code with the
-package internals it checks.
+package internals it checks.  The exception is ``reference_synthesize``,
+the click synthesizer's earlier block-by-block form: it shares the mode
+tag, the class probabilities and the stream type, and pins the order in
+which the table-driven synthesizer writes clicks.
 """
 
 from __future__ import annotations
@@ -13,6 +16,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+
+from cesim.detection import FLAG_POL_V, CoincidenceSetting, Outcome, mode_tag, outcome_probabilities
+from cesim.eventstream import TagStream, TimestampRangeError
 
 SQ = math.sqrt(0.5)
 
@@ -70,12 +76,15 @@ def default_accept(tag_a, tag_b) -> bool:
     return tag_a[1] == tag_b[1] and tag_a[2] != tag_b[2] and tag_a[0] != tag_b[0]
 
 
-# The three named selection rules as predicates on the D1 and D2 labels.
+# Three selection rules as predicates on the D1 and D2 labels, and as
+# accept masks over 4 * tag_d1 + tag_d2: the heterodyne rule, its
+# complement, and a rule that keeps every cross-port pair.
 RULE_PREDICATES = {
     "heterodyne": default_accept,
     "inverted": lambda tag_a, tag_b: not default_accept(tag_a, tag_b),
     "cross_port_only": lambda tag_a, tag_b: True,
 }
+RULE_MASKS = {"heterodyne": 0x4812, "inverted": 0xB7ED, "cross_port_only": 0xFFFF}
 
 
 def reject_reason(tag_a, tag_b) -> str:
@@ -332,3 +341,141 @@ def visibility(series: Sequence) -> float:
     if hi + lo == 0:
         raise ValueError("visibility is undefined for an all-zero series")
     return (hi - lo) / (hi + lo)
+
+
+# The click synthesizer as it was written before the table-driven one: one
+# emit block per outcome class, filled in emit order, so that the stable
+# sort leaves the clicks that share a timestamp and a channel in block
+# order, then in pair order.  It pins the table's emit ranks byte for byte.
+
+
+def accepted_route_split(eraser) -> float:
+    """P(the arm-1 photon sits at port A | accepted coincidence)."""
+    w1 = (math.sin(eraser.xi) * math.sin(eraser.theta)) ** 2
+    w2 = (math.cos(eraser.xi) * math.cos(eraser.theta)) ** 2
+    return 0.5 if w1 + w2 == 0 else w1 / (w1 + w2)
+
+
+def lone_click_route_split(eraser, port: int) -> float:
+    """P(the arm-1 photon sits at port A | exactly one cross-port click, at
+    ``port`` 0 (A) or 1 (B))."""
+    if port == 0:
+        w1 = (math.sin(eraser.xi) * math.cos(eraser.theta)) ** 2
+        w2 = (math.cos(eraser.xi) * math.sin(eraser.theta)) ** 2
+    else:
+        w1 = (math.cos(eraser.xi) * math.sin(eraser.theta)) ** 2
+        w2 = (math.sin(eraser.xi) * math.cos(eraser.theta)) ** 2
+    return 0.5 if w1 + w2 == 0 else w1 / (w1 + w2)
+
+
+def reference_synthesize(batch, eraser=None, coincidence=None, jitter: bool = False, seed=0):
+    """Realize detector clicks for a batch of generated pairs, block by block."""
+    cs = coincidence if coincidence is not None else CoincidenceSetting()
+    rng = np.random.default_rng(seed)
+    n = len(batch)
+    t_emit = batch.t_emit_ps.astype(np.int64)
+    delay_s = np.full(n, cs.tau_si)
+    if jitter:
+        delay_s = delay_s + rng.exponential(cs.tau_c / 2.0, n)
+    delay_ps = np.rint(delay_s * 1e12).astype(np.int64)
+
+    s1 = batch.orientation_sign.astype(np.int8)  # branch sign of arm 1
+
+    # Each photon clicks at most once, so 2 * n rows hold every click.  They
+    # fill in emit order, which fixes the order of clicks that share a
+    # timestamp and a channel, and with it the stream's bytes.
+    key = np.empty(2 * n, dtype=np.uint64)  # (t_ps << 1) | channel
+    tags = np.empty(2 * n, dtype=np.uint8)
+    pair_id = np.empty(2 * n, dtype=np.uint32)
+    filled = 0
+
+    def emit(idx, channel, route):
+        """Clicks at detector ``channel`` of the photons from arm ``route``."""
+        nonlocal filled
+        t = t_emit[idx] + (delay_ps[idx] if channel == 1 else 0)
+        if np.any(t < 0):  # wrapped around the int64 range
+            raise TimestampRangeError("timestamp at or above 2**63 ps")
+        rows = slice(filled, filled + len(idx))
+        key[rows] = (t.astype(np.uint64) << 1) | channel
+        tags[rows] = mode_tag(route, channel, s1[idx])
+        pair_id[rows] = batch.pair_id[idx]
+        filled = rows.stop
+
+    def build():
+        # Below 2**63, t_ps << 1 fits the unsigned key, whose order is time,
+        # then D1 before D2; the stable sort keeps emit order within a tie.
+        order = np.argsort(key[:filled], kind="stable")
+        sorted_key = key[order]
+        channel = (sorted_key & 1).astype(np.uint8)
+        sorted_key >>= 1
+        return TagStream.from_fields(sorted_key, channel, tags[order], pair_id[order])
+
+    if eraser is None:
+        for route, port in ((batch.route1, batch.port1), (batch.route2, batch.port2)):
+            for channel in (0, 1):
+                idx = np.flatnonzero(port == channel)
+                emit(idx, channel, route[idx])
+        return build()
+
+    u_class = rng.random(n)
+    u_route = rng.random(n)
+    u_m1 = rng.random(n)
+    u_m2 = rng.random(n)
+
+    cross = batch.cross_mask
+    cls = np.full(n, -1, dtype=np.int64)  # an Outcome per pair
+
+    def classify(mask, shared_path):
+        edges = np.cumsum(outcome_probabilities(shared_path, eraser))[:-1]
+        cls[mask] = np.searchsorted(edges, u_class[mask], side="right")
+
+    classify(cross, None)
+    classify(~cross & (batch.route1 == 1), 1)
+    classify(~cross & (batch.route1 == 2), 2)
+
+    def cls_idx(outcome, extra_mask=None):
+        m = cls == outcome
+        if extra_mask is not None:
+            m &= extra_mask
+        return np.flatnonzero(m)
+
+    # accepted coincidences: the route choice decides the shared polarization
+    idx = cls_idx(Outcome.COINCIDENCE, cross)
+    arm1_at_a = u_route[idx] < accepted_route_split(eraser)
+    emit(idx[arm1_at_a], 0, 1)
+    emit(idx[arm1_at_a], 1, 2)
+    rest = idx[~arm1_at_a]
+    emit(rest, 0, 2)
+    emit(rest, 1, 1)
+
+    # rejected coincidences (same-path pairs behind analyzers)
+    for path_value in (1, 2):
+        idx = cls_idx(Outcome.REJECTED_COINCIDENCE, ~cross & (batch.route1 == path_value))
+        emit(idx, 0, path_value)
+        emit(idx, 1, path_value)
+
+    # lone clicks; of a cross-path pair only the photon at the clicking
+    # port is detected
+    for outcome, channel in ((Outcome.ONLY_D1, 0), (Outcome.ONLY_D2, 1)):
+        idx = cls_idx(outcome, cross)
+        arm1_at_a = u_route[idx] < lone_click_route_split(eraser, channel)
+        emit(idx[arm1_at_a], channel, 1 if channel == 0 else 2)
+        emit(idx[~arm1_at_a], channel, 2 if channel == 0 else 1)
+        for path_value in (1, 2):
+            emit(cls_idx(outcome, ~cross & (batch.route1 == path_value)), channel, path_value)
+
+    # bunched outcomes: both photons on one detector, independent transmissions
+    for outcome, channel, angle in (
+        (Outcome.SAME_PORT_A, 0, eraser.xi),
+        (Outcome.SAME_PORT_B, 1, eraser.theta),
+    ):
+        c2 = math.cos(angle) ** 2
+        s2 = math.sin(angle) ** 2
+        idx = cls_idx(outcome)
+        for route, u_m in ((batch.route1, u_m1), (batch.route2, u_m2)):
+            pol_v = mode_tag(route[idx], channel, s1[idx]) & FLAG_POL_V
+            p_pass = np.where(pol_v, s2, c2)
+            passed = idx[u_m[idx] < p_pass]
+            emit(passed, channel, route[passed])
+
+    return build()

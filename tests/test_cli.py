@@ -258,6 +258,22 @@ class TestCommands:
         assert code == 1
         assert "i/o error" in err
 
+    @pytest.mark.parametrize(
+        "exc, message",
+        [
+            (BrokenPipeError(32, "Broken pipe"), "i/o error: Broken pipe\n"),
+            (OSError(28, "No space left on device", "out.csv"), "i/o error on out.csv: No space left on device\n"),
+        ],
+    )
+    def test_io_error_names_the_file_only_when_there_is_one(self, exc, message, capsys, monkeypatch):
+        def handler(options):
+            raise exc
+
+        monkeypatch.setitem(SUBCOMMANDS, "chsh", ("", handler))
+        code, _, err = run_cli(["chsh"], capsys)
+        assert code == 1
+        assert err == message
+
     def test_eraser_stream_via_cli(self, tmp_path, capsys):
         path = tmp_path / "er.bin"
         code, out, _ = run_cli(
@@ -296,6 +312,20 @@ class TestCommands:
         code, out, _ = run_cli(["correlation", "--xi-deg", "0", "--theta-deg", "0", "--raw"], capsys)
         assert code == 0
         assert float(out.split("=")[1]) == pytest.approx(1.0 / 16.0, abs=1e-12)
+
+    @pytest.mark.parametrize("subcommand", ["fig2a", "fig2b"])
+    @pytest.mark.parametrize("mode", ["mc", "both"])
+    def test_raw_needs_analytic_mode(self, subcommand, mode, capsys):
+        # the twin is normalized by a reference run, so it has no raw form
+        code, out, err = run_cli([subcommand, "--raw", "--mode", mode, "--pairs", "2000"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    def test_raw_analytic_table(self, capsys):
+        code, out, _ = run_cli(["fig2b", "--raw"], capsys)
+        assert code == 0
+        assert float(out.splitlines()[1].split(",")[3]) == pytest.approx(1.0 / 16.0, abs=1e-12)
 
     def test_local_mode_both_passes_on_default_seed(self, capsys):
         # 324 cells: a per-cell 3-sigma check fails this run on a correct simulator

@@ -15,6 +15,7 @@ from cesim.detection import (
     SelectionRule,
     heterodyne_product,
     outcome_probabilities,
+    route_split,
     sample_coincidence_counts,
     selection_efficiency,
 )
@@ -24,12 +25,15 @@ from cesim.interferometer import EraserSetting, PairSetting, eraser_amplitudes
 from cesim.source import PairBatch, SourceConfig, sample_n_pairs
 
 from _oracles import (
+    RULE_MASKS,
     RULE_PREDICATES,
+    accepted_route_split,
     correlation_r,
     cross_pair_classes,
     default_accept,
     heterodyne_sum,
     label_from_click,
+    lone_click_route_split,
     pair_accepted,
     reject_reason,
     same_pair_classes,
@@ -69,16 +73,19 @@ class TestSelectionRule:
         assert not rule.accepts(H_MINUS, V_MINUS)
         assert not rule.accepts(V_PLUS, V_PLUS)  # same branch
 
+    def test_heterodyne_mask(self):
+        assert SelectionRule.heterodyne() == SelectionRule(RULE_MASKS["heterodyne"])
+
     @pytest.mark.parametrize("name", sorted(RULE_PREDICATES))
     def test_accept_table_matches_label_predicate(self, name):
-        rule = getattr(SelectionRule, name)()
+        rule = SelectionRule(RULE_MASKS[name])
         for tag_d1, tag_d2 in TAG_PAIRS:
             expected = RULE_PREDICATES[name](label_from_click(0, tag_d1), label_from_click(1, tag_d2))
             assert rule.accepts(tag_d1, tag_d2) is expected, (tag_d1, tag_d2)
 
     @pytest.mark.parametrize("name", sorted(RULE_PREDICATES))
     def test_reject_reasons_match_label_oracle(self, name):
-        rule = getattr(SelectionRule, name)()
+        rule = SelectionRule(RULE_MASKS[name])
         # D1 and D2 click k, both at 1000 * k ps, carry the k-th tag pair
         t = np.repeat(1000 * np.arange(16), 2)
         flags = np.array(TAG_PAIRS).ravel()
@@ -133,7 +140,7 @@ class TestHeterodyneProduct:
             theta = float(rng.uniform(0.2, 1.2))
             setting = PairSetting(1.3e6, tau=float(rng.uniform(0, 1e-5)))
             e_s, e_i = eraser_amplitudes(setting, EraserSetting(xi, theta))
-            product = heterodyne_product(e_s, e_i, SelectionRule.inverted())
+            product = heterodyne_product(e_s, e_i, SelectionRule(RULE_MASKS["inverted"]))
             phi = setting.phase
             # hand expansion of the two rejected monomials
             expected = 0.25j * (
@@ -270,6 +277,19 @@ class TestOutcomeDistribution:
         assert same[Outcome.REJECTED_COINCIDENCE] == 0.5
 
 
+@given(
+    st.sampled_from([0.0, math.pi / 4, math.pi / 2]) | st.floats(-math.pi, math.pi),
+    st.sampled_from([0.0, math.pi / 4, math.pi / 2]) | st.floats(-math.pi, math.pi),
+)
+def test_route_split_matches_the_split_oracles_bit_for_bit(xi, theta):
+    eraser = EraserSetting(xi, theta)
+    split = route_split(eraser)
+    assert split[Outcome.COINCIDENCE] == accepted_route_split(eraser)
+    assert split[Outcome.ONLY_D1] == lone_click_route_split(eraser, 0)
+    assert split[Outcome.ONLY_D2] == lone_click_route_split(eraser, 1)
+    assert len(split) == len(Outcome)
+
+
 class TestSelectionEfficiency:
     def test_quarter_at_1e5(self):
         batch = sample_n_pairs(SourceConfig(seed=21), 100_000)
@@ -278,7 +298,7 @@ class TestSelectionEfficiency:
 
     def test_gating_disabled_half(self):
         batch = sample_n_pairs(SourceConfig(seed=22), 100_000)
-        eff = selection_efficiency(batch, SelectionRule.cross_port_only())
+        eff = selection_efficiency(batch, SelectionRule(RULE_MASKS["cross_port_only"]))
         assert abs(eff - 0.5) < 0.005
 
     def test_same_path_only_zero(self):
@@ -291,7 +311,7 @@ class TestSelectionEfficiency:
     @pytest.mark.parametrize("name", sorted(RULE_PREDICATES))
     def test_every_rule_matches_per_pair_oracle(self, name):
         batch = sample_n_pairs(SourceConfig(seed=24), 4_000)
-        rule = getattr(SelectionRule, name)()
+        rule = SelectionRule(RULE_MASKS[name])
         accepted = sum(
             pair_accepted(
                 int(batch.route1[i]), int(batch.route2[i]), int(batch.port1[i]), int(batch.port2[i]),

@@ -38,12 +38,15 @@ from cesim.eventstream import (
 from cesim.interferometer import EraserSetting
 from cesim.source import PairBatch, SourceConfig, sample_n_pairs
 
-from _oracles import label_from_click, photon_label, reference_match
+from _oracles import RULE_MASKS, label_from_click, photon_label, reference_synthesize, reference_match
 
 V_PLUS = 0b11   # V polarization, positive branch
 V_MINUS = 0b10
 H_PLUS = 0b01
 H_MINUS = 0b00
+# the analyzer edges 0, pi/4 and pi/2, where outcome classes and route
+# splits vanish, and any angle in between
+ANALYZER_ANGLES = st.sampled_from([0.0, math.pi / 4, math.pi / 2]) | st.floats(-math.pi, math.pi)
 
 
 def make_stream(rows):
@@ -336,13 +339,13 @@ class TestMatcher:
             max_size=60,
         ),
         st.sampled_from([0, 3, 100]),
-        st.sampled_from(["heterodyne", "inverted", "cross_port_only"]),
+        st.sampled_from(sorted(RULE_MASKS)),
     )
     def test_matches_reference_matcher(self, rows, window_ps, rule_name):
         # few distinct timestamps: many ties on both channels; the stable
         # sort keeps the drawn order among equal timestamps
         stream = make_stream(sorted(rows, key=lambda row: row[0]))
-        rule = getattr(SelectionRule, rule_name)()
+        rule = SelectionRule(RULE_MASKS[rule_name])
         expected = reference_match(stream.array, window_ps, rule.accepts)
         got = match_coincidences(stream, window_ps, rule)
         assert coincidence_rows(got) == [dataclasses.astuple(rec) for rec in expected]
@@ -385,13 +388,13 @@ class TestMatcher:
             max_size=400,
         ),
         st.sampled_from([0, 1, 40, 10**9]),
-        st.sampled_from(["heterodyne", "inverted", "cross_port_only"]),
+        st.sampled_from(sorted(RULE_MASKS)),
     )
     def test_matches_reference_matcher_on_long_tied_streams(self, rows, window_ps, rule_name):
         # long runs of clicks with one nearest D2: most clicks deviate, and
         # deviators take the nearest D2 of later runs
         stream = make_stream(sorted(rows, key=lambda row: row[0]))
-        rule = getattr(SelectionRule, rule_name)()
+        rule = SelectionRule(RULE_MASKS[rule_name])
         expected = reference_match(stream.array, window_ps, rule.accepts)
         got = match_coincidences(stream, window_ps, rule)
         assert coincidence_rows(got) == [dataclasses.astuple(rec) for rec in expected]
@@ -485,6 +488,35 @@ class TestSynthesizedStreams:
         t = stream.array["t_ps"]
         assert t.min() < 2**62 <= t.max()
         assert stream == TagStream(expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(0, 300),
+        spacing=st.sampled_from([0, 1, 100]),
+        in_order=st.booleans(),
+        eraser=st.none() | st.builds(EraserSetting, ANALYZER_ANGLES, ANALYZER_ANGLES),
+        jitter=st.booleans(),
+    )
+    def test_bytes_match_the_block_by_block_synthesizer(self, seed, n, spacing, in_order, eraser, jitter):
+        # Few distinct emission times, so clicks of different pairs share a
+        # timestamp and a channel in every outcome class; with tau_c at
+        # 2e-10 s the jittered D2 delays are a few hundred ps and tie too.
+        rng = np.random.default_rng(seed)
+        t_emit = rng.integers(0, max(n // 16, 1), n).astype(np.uint64) * np.uint64(spacing)
+        batch = PairBatch(
+            pair_id=np.arange(n, dtype=np.uint32),
+            delta_f=np.zeros(n),
+            orientation_sign=(2 * rng.integers(0, 2, n) - 1).astype(np.int8),
+            route1=rng.integers(1, 3, n, dtype=np.uint8),
+            route2=rng.integers(1, 3, n, dtype=np.uint8),
+            port1=rng.integers(0, 2, n, dtype=np.uint8),
+            port2=rng.integers(0, 2, n, dtype=np.uint8),
+            t_emit_ps=np.sort(t_emit) if in_order else t_emit,
+        )
+        kwargs = dict(eraser=eraser, coincidence=CoincidenceSetting(tau_c=2e-10), jitter=jitter, seed=seed)
+        expected = encode_stream(reference_synthesize(batch, **kwargs))
+        assert encode_stream(synthesize_stream(batch, **kwargs)) == expected
 
 
 class TestHistogram:
@@ -607,7 +639,7 @@ class TestPerformance:
                 np.concatenate([t1, t2])[order], np.repeat([0, 1], n)[order], 0, 0
             )
 
-        rule = SelectionRule.cross_port_only()
+        rule = SelectionRule(RULE_MASKS["cross_port_only"])
         assert np.all(match_coincidences(stream_of(2_000), 10**12, rule)["accepted"])  # and warm-up
         streams = {n: stream_of(n) for n in (5_000, 20_000)}
         # Each round times 20k clicks per size (four calls on the small
