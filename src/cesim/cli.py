@@ -220,9 +220,7 @@ def _deliver(table: Table, options: dict) -> None:
         emit_csv(table, options["out"])
         print(f"wrote {options['out']} ({len(table.rows)} rows)")
     else:
-        print(",".join(table.columns))
-        for row in table.rows:
-            print(",".join(experiments._fmt(v) for v in row))
+        sys.stdout.write(experiments.csv_text(table))
 
 
 def _cmd_local(options: dict) -> int:

@@ -7,10 +7,10 @@ surviving product terms add coherently, which turns two independent local
 angles into the joint fringe cos^2(xi + theta) with the detuning phase
 cancelled.
 
-The Monte Carlo side assigns each generated pair an outcome class whose
-probabilities come from squaring the summed route amplitudes; the test
-suite pins these constants against an independent brute-force enumeration
-of the routing tree.
+The Monte Carlo side reads what it draws off the same network: a
+per-photon table built from ``interferometer.output_fields`` gives the
+mode tags and, by the Born rule, the outcome classes, route splits and
+same-port transmissions.  Their closed forms live in the test oracles.
 """
 
 from __future__ import annotations
@@ -19,19 +19,40 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import NamedTuple
 
 import numpy as np
 
-from .interferometer import EraserSetting
+from .interferometer import EraserSetting, PairSetting, output_fields
 from .optics import FLAG_BRANCH_PLUS, FLAG_POL_V, N_SLOTS, TAG_BITS, Field
 from .source import PairBatch
 
 
-# A detected photon's mode tag is the low two bits of its CESIMTT1 flags
-# byte (the bits are defined with the field slots in ``optics``).  The arm
-# of origin is not part of it: port A sees the arm-1 photon as V and the
+def _photon_table(eraser: EraserSetting) -> list:
+    """``table[arm - 1][port][plus]`` is (slot tag, pass factors, absorb
+    factors) of the photon from arm ``arm`` at ``port`` (0 = A, 1 = B) when
+    arm 1 carries the positive branch iff ``plus``.  The factors multiply
+    to its amplitude on the analyzer's pass axis (cos a, sin a) or absorb
+    axis (-sin a, cos a): sqrt(2) times its arm's slot (an arm holds half
+    the carrier), then the projection of the slot's polarization."""
+    table = [[[None, None], [None, None]] for _arm in (1, 2)]
+    for plus, sign in enumerate((-1, 1)):
+        ports = output_fields(PairSetting(0.0, sign))
+        for port, (fld, angle) in enumerate(zip(ports, (eraser.xi, eraser.theta))):
+            c, s = math.cos(angle), math.sin(angle)
+            for k, amp in enumerate(fld):
+                if amp:
+                    amp, axes = math.sqrt(2.0) * amp, ((s, c) if k & FLAG_POL_V else (c, -s))
+                    table[k >> 2][port][plus] = (k & TAG_BITS, *((amp, proj) for proj in axes))
+    return table
+
+
+# A detected photon's mode tag, the low two bits of its CESIMTT1 flags
+# byte, is the tag of its slot in the network's port field.  The arm of
+# origin is not part of it: port A sees the arm-1 photon as V and the
 # arm-2 photon as H, port B the reverse, so on a cross-port pair (port,
-# polarization) already names the arm.
+# polarization) already names the arm.  Indexed [arm - 1, port, plus].
+_SLOT_TAGS = np.array([[[r[0] for r in port] for port in arm] for arm in _photon_table(EraserSetting(0, 0))])
 
 
 def mode_tag(route, port, sign):
@@ -40,8 +61,26 @@ def mode_tag(route, port, sign):
 
     Works on ints and, elementwise, on numpy arrays.
     """
-    arm1 = route == 1
-    return ((sign > 0) == arm1) * FLAG_BRANCH_PLUS + (arm1 == (port == 0)) * FLAG_POL_V
+    tag = _SLOT_TAGS[route - 1, port, (sign > 0) * 1]
+    return tag if tag.ndim else int(tag)
+
+
+def _born(*orderings) -> float:
+    """|sum over ``orderings`` of the product of each one's factors|^2,
+    exact and rounded once, so cancelling orderings leave no residue: each
+    float is an integer over a power of two, so the sum is one over 2**top."""
+    terms = []
+    for factors in orderings:
+        re, im, exp = 1, 0, 0
+        for z in map(complex, factors):
+            (a, da), (b, db) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+            d = max(da, db)
+            a, b = a * (d // da), b * (d // db)
+            re, im, exp = re * a - im * b, re * b + im * a, exp + d.bit_length() - 1
+        terms.append((re, im, exp))
+    top = max(exp for _, _, exp in terms)
+    re, im = (sum(term[part] << (top - term[2]) for term in terms) for part in (0, 1))
+    return (re * re + im * im) / (1 << 2 * top)
 
 
 @dataclass(frozen=True)
@@ -151,53 +190,55 @@ class Outcome(IntEnum):
     SAME_PORT_B = 6
 
 
+class ClassTable(NamedTuple):
+    """What the stochastic twin draws behind analyzers."""
+    classes: tuple  # [shared arm, 0 for a cross-path pair][Outcome]: class probabilities
+    splits: tuple  # [Outcome]: P(arm-1 photon at port A | outcome) of a cross-path pair, else 1/2
+    transmission: tuple  # [arm - 1][port]: P(a photon there passes its analyzer)
+
+
+def class_table(eraser: EraserSetting) -> ClassTable:
+    """The Born rule on the per-photon table.  A cross-path pair's classes
+    come from the symmetrized two-photon amplitude, a same-path pair's
+    from independent photons.  Structurally impossible classes are exactly
+    0, and the last class of a row is one minus the others."""
+    # on[arm - 1][port][axis]: factors on the pass (0) or absorb (1) axis,
+    # a1/b1 those of the arm-1 photon at port A/B; the sign moves only tags
+    on = [[port[1][1:] for port in arm] for arm in _photon_table(eraser)]
+    prob = [[[abs(amp * proj) ** 2 for amp, proj in port] for port in arm] for arm in on]
+    (a1, b1), (a2, b2) = on
+    cross, splits = [0.0] * len(Outcome), [0.5] * len(Outcome)
+    for outcome, x, y in ((Outcome.COINCIDENCE, 0, 0), (Outcome.ONLY_D1, 0, 1), (Outcome.ONLY_D2, 1, 0),
+                          (Outcome.NO_CLICKS, 1, 1)):
+        # axis x at port A and y at port B; arm 1 at A, or arm 1 at B
+        cross[outcome] = _born((*a1[x], *b2[y]), (*b1[y], *a2[x]))
+        w1, w2 = prob[0][0][x] * prob[1][1][y], prob[0][1][y] * prob[1][0][x]
+        if w1 + w2 != 0:
+            splits[outcome] = w1 / (w1 + w2)
+    # both photons at port A, where a doubly occupied axis counts twice
+    (pass1, abs1), (pass2, abs2) = prob[0][0], prob[1][0]
+    mixed = _born((*a1[0], *a2[1]), (*a1[1], *a2[0]))
+    cross[Outcome.SAME_PORT_A] = 2 * pass1 * pass2 + 2 * abs1 * abs2 + mixed
+    rows = [cross]
+    for (pass_a, abs_a), (pass_b, abs_b) in prob:
+        clicks = (2 * pass_a * pass_b, 2 * pass_a * abs_b, 2 * abs_a * pass_b, 2 * abs_a * abs_b)
+        rows.append([0.0, *clicks, (pass_a + abs_a) ** 2, 0.0])
+    for row in rows:
+        row[Outcome.SAME_PORT_B] = 1.0 - math.fsum(row[: Outcome.SAME_PORT_B])
+    transmission = tuple(tuple(2 * pass_ for pass_, _ in arm) for arm in prob)
+    return ClassTable(tuple(map(tuple, rows)), tuple(splits), transmission)
+
+
 def outcome_probabilities(shared_path: int | None, eraser: EraserSetting | None) -> tuple[float, ...]:
     """Outcome-class probabilities, indexed by ``Outcome``, of a pair whose
     photons share the arm ``shared_path`` (1 or 2), or take different arms
-    when it is None.
-
-    Same-path pairs never produce an accepted cross-detector coincidence;
-    cross-path pairs reach the accepted class with probability
-    cos^2(xi + theta) / 4 behind analyzers and 1/2 without them. The
-    weights sum to one exactly.
-    """
+    when it is None: a ``class_table`` row, or without analyzers, where
+    every photon clicks at its port, fixed.  They sum to one exactly."""
     if eraser is None:
         if shared_path is None:
             return (0.5, 0.0, 0.0, 0.0, 0.0, 0.25, 0.25)
         return (0.0, 0.5, 0.0, 0.0, 0.0, 0.25, 0.25)
-    if shared_path is None:
-        # The two cross-port routes land in the same final mode pair and
-        # add coherently; squaring the summed route amplitudes yields this split.
-        c2 = math.cos(eraser.xi + eraser.theta) ** 2
-        s2 = 1.0 - c2
-        return (0.25 * c2, 0.0, 0.25 * s2, 0.25 * s2, 0.25 * c2, 0.25, 0.25)
-    if shared_path == 1:
-        t_a = math.sin(eraser.xi) ** 2
-        t_b = math.cos(eraser.theta) ** 2
-    else:
-        t_a = math.cos(eraser.xi) ** 2
-        t_b = math.sin(eraser.theta) ** 2
-    p_rej = 0.5 * t_a * t_b
-    p_d1 = 0.5 * t_a * (1.0 - t_b)
-    p_d2 = 0.5 * (1.0 - t_a) * t_b
-    # complement keeps the class weights summing to exactly 1
-    p_none = max(0.5 - p_rej - p_d1 - p_d2, 0.0)
-    return (0.0, p_rej, p_d1, p_d2, p_none, 0.25, 0.25)
-
-
-def route_split(eraser: EraserSetting) -> tuple[float, ...]:
-    """P(the arm-1 photon sits at port A | the outcome of a cross-path
-    pair), indexed by ``Outcome``; 1/2 where the clicks do not depend on it."""
-    s_xi, c_xi, s_th, c_th = (f(a) for a in (eraser.xi, eraser.theta) for f in (math.sin, math.cos))
-    splits = [0.5] * len(Outcome)
-    for outcome, w1, w2 in (
-        (Outcome.COINCIDENCE, (s_xi * s_th) ** 2, (c_xi * c_th) ** 2),
-        (Outcome.ONLY_D1, (s_xi * c_th) ** 2, (c_xi * s_th) ** 2),
-        (Outcome.ONLY_D2, (c_xi * s_th) ** 2, (s_xi * c_th) ** 2),
-    ):
-        if w1 + w2 != 0:
-            splits[outcome] = w1 / (w1 + w2)
-    return tuple(splits)
+    return class_table(eraser).classes[shared_path or 0]
 
 
 def _pair_state(route1, route2, port1, port2, sign):

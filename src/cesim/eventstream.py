@@ -39,9 +39,8 @@ from .detection import (
     CoincidenceSetting,
     Outcome,
     SelectionRule,
+    class_table,
     mode_tag,
-    outcome_probabilities,
-    route_split,
 )
 from .interferometer import EraserSetting
 from .source import PairBatch
@@ -100,7 +99,7 @@ class TagStream:
     def __init__(self, array: np.ndarray):
         if array.dtype != RECORD_DTYPE:
             array = array.astype(RECORD_DTYPE)
-        self._array = array
+        self._array = np.ascontiguousarray(array)  # encode_stream reads its buffer
         self.validate()
 
     @classmethod
@@ -146,8 +145,9 @@ class TagStream:
 
 
 def encode_stream(stream: TagStream) -> bytes:
-    """Serialize a (valid by construction) stream to the wire format."""
-    return MAGIC + VERSION.to_bytes(2, "little") + stream.array.tobytes()
+    """Serialize a (valid by construction) stream to the wire format,
+    copying the record array once."""
+    return b"".join((MAGIC, VERSION.to_bytes(2, "little"), stream.array.data))
 
 
 def decode_stream(data: bytes) -> TagStream:
@@ -486,7 +486,7 @@ def fit_decay_ps(hist: TauHistogram, min_count: int = 10) -> float:
     return -1.0 / slope
 
 
-def _analyzer_slots(outcome: Outcome, route1: int, route2: int, arm1_at_a: int, eraser: EraserSetting):
+def _analyzer_slots(outcome: Outcome, route1: int, route2: int, arm1_at_a: int, transmission):
     """The two photon slots of a pair behind the analyzers.  A click's rank
     is 4 * outcome plus the block that wrote it: a cross-path pair's
     arm-1-at-A block, its other block, then the shared-arm-1 and
@@ -494,10 +494,8 @@ def _analyzer_slots(outcome: Outcome, route1: int, route2: int, arm1_at_a: int, 
     if outcome in (Outcome.SAME_PORT_A, Outcome.SAME_PORT_B):
         # both photons on one detector, independent transmissions
         channel = outcome - Outcome.SAME_PORT_A
-        angle = eraser.xi if channel == 0 else eraser.theta
-        p_h, p_v = math.cos(angle) ** 2, math.sin(angle) ** 2
         return tuple(
-            (arm, channel, 4 * outcome + k, p_v if mode_tag(arm, channel, 1) & FLAG_POL_V else p_h)
+            (arm, channel, 4 * outcome + k, transmission[arm - 1][channel])
             for k, arm in enumerate((route1, route2))
         )
     if route1 != route2:  # of a cross-path pair only the photons at clicking ports
@@ -508,20 +506,20 @@ def _analyzer_slots(outcome: Outcome, route1: int, route2: int, arm1_at_a: int, 
     return tuple((arm_at[ch], ch, 4 * outcome + block, 1.0) if clicks[ch] else None for ch in (0, 1))
 
 
-def _click_table(eraser: EraserSetting | None) -> np.ndarray:
+def _click_table(transmission) -> np.ndarray:
     """The one click table: row 4 * state + 2 * plus + slot holds the
     channel, mode tag, emit rank and click probability of photon slot
     ``slot`` of a pair in ``state`` whose arm 1 carries the positive
     branch when ``plus`` is 1.  With arms = 2 * route1 + route2 - 3, the
-    state is arms + 4 * port1 + 8 * port2 without analyzers, where every
-    photon clicks at its port, and 2 * (4 * outcome + arms) + arm1_at_a
-    behind them."""
-    if eraser is None:
+    state is arms + 4 * port1 + 8 * port2 without analyzers (no
+    ``transmission``), where every photon clicks at its port, and
+    2 * (4 * outcome + arms) + arm1_at_a behind them."""
+    if transmission is None:
         ports = ((p1, p2) for p2 in (0, 1) for p1 in (0, 1))
         states = [((r1, p1, 0, 1.0), (r2, p2, 1, 1.0)) for p1, p2 in ports for r1 in (1, 2) for r2 in (1, 2)]
     else:
         states = [
-            _analyzer_slots(outcome, r1, r2, arm1_at_a, eraser)
+            _analyzer_slots(outcome, r1, r2, arm1_at_a, transmission)
             for outcome in Outcome for r1 in (1, 2) for r2 in (1, 2) for arm1_at_a in (0, 1)
         ]
     rows = [slot or (1, 0, 0, 0.0) for slots in states for _ in (-1, 1) for slot in slots]
@@ -559,16 +557,18 @@ def synthesize_stream(
     delay_ps = np.rint(delay_s * 1e12).astype(np.int64)
     del delay_s
 
-    table = _click_table(eraser)
     arms = 2 * batch.route1 + batch.route2 - 3  # (1, 1), (1, 2), (2, 1), (2, 2) -> 0..3
     if eraser is None:
+        table = _click_table(None)
         state = arms + 4 * batch.port1 + 8 * batch.port2
     else:
+        born = class_table(eraser)
+        table = _click_table(born.transmission)
         # A pair's outcome is the number of its arms' class edges at or
         # below u_class (searchsorted, side="right").  That number is fixed
         # between two neighbouring cuts, the edges of all arms, so
         # outcome_at[arms, j] holds it for a draw with j cuts at or below it.
-        edges = [np.cumsum(outcome_probabilities(shared, eraser))[:-1] for shared in (1, None, None, 2)]
+        edges = [np.cumsum(born.classes[shared])[:-1] for shared in (1, 0, 0, 2)]
         cuts = sorted(set(np.concatenate(edges).tolist()))
         outcome_at = np.array([np.searchsorted(e, [-1.0, *cuts], side="right") for e in edges], np.uint8)
         u = rng.random(n)  # u_class
@@ -577,7 +577,7 @@ def synthesize_stream(
             at += u >= cut
         outcome = outcome_at.ravel()[at]
         rng.random(out=u)  # u_route
-        state = (4 * outcome + arms) * 2 + (u < np.array(route_split(eraser))[outcome])
+        state = (4 * outcome + arms) * 2 + (u < np.array(born.splits)[outcome])
     state = 2 * state + (batch.orientation_sign > 0)
     code = (2 * state)[:, None] + np.arange(2, dtype=np.uint8)  # the rows of slots 0 and 1
     keep = np.ones((n, 2), dtype=bool)

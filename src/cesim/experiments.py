@@ -88,12 +88,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def csv_text(table: Table) -> str:
+    """A table as CSV text; byte-stable for identical inputs."""
+    lines = [",".join(table.columns), *(",".join(_fmt(v) for v in row) for row in table.rows)]
+    return "\n".join(lines) + "\n"
+
+
 def emit_csv(table: Table, path) -> FsPath:
-    """Write a table as CSV; byte-stable for identical inputs."""
+    """Write a table as CSV (``csv_text``)."""
     out = FsPath(path)
-    lines = [",".join(table.columns)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in table.rows)
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out.write_text(csv_text(table), encoding="utf-8")
     return out
 
 

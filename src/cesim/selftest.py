@@ -63,12 +63,15 @@ def _check_eraser_fringe() -> bool:
 
 
 def _check_outcome_classes() -> bool:
+    """The network-derived class table against the paper's closed form:
+    normalized, and 4 P(accepted) = cos^2(xi + theta)."""
     for xi_deg, theta_deg in ((0, 0), (22.5, 22.5), (45, 0), (30, 60)):
-        dist = outcome_probabilities(None, EraserSetting(math.radians(xi_deg), math.radians(theta_deg)))
-        if abs(sum(dist) - 1.0) > 1e-15:
+        xi, theta = math.radians(xi_deg), math.radians(theta_deg)
+        dist = outcome_probabilities(None, EraserSetting(xi, theta))
+        fringe = math.cos(xi + theta) ** 2
+        if abs(sum(dist) - 1.0) > 1e-15 or abs(4 * dist[Outcome.COINCIDENCE] - fringe) > 1e-15:
             return False
-    dist0 = outcome_probabilities(None, EraserSetting(0.0, 0.0))
-    return abs(dist0[Outcome.COINCIDENCE] - 0.25) < 1e-15
+    return True
 
 
 def _check_efficiency(seed: int) -> bool:
@@ -114,7 +117,7 @@ def run_selftest(seed: int = 20230730) -> int:
         ("local intensities uniform at 1/2", _check_local_uniformity),
         ("joint fringe equals cos^2(xi+theta)", _check_joint_fringe),
         ("analyzer fringe closed form", _check_eraser_fringe),
-        ("outcome classes normalized and pinned", _check_outcome_classes),
+        ("outcome classes normalized and on the cos^2 fringe", _check_outcome_classes),
         ("pre-analyzer selection efficiency near 1/4", lambda: _check_efficiency(seed)),
         ("time-tag round trip", lambda: _check_roundtrip(seed)),
         ("coincidence matcher smoke", _check_matcher),

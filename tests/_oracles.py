@@ -2,10 +2,17 @@
 
 Everything here is deliberately written from first principles with raw
 complex arithmetic and exhaustive enumeration, sharing no code with the
-package internals it checks.  The exception is ``reference_synthesize``,
-the click synthesizer's earlier block-by-block form: it shares the mode
-tag, the class probabilities and the stream type, and pins the order in
-which the table-driven synthesizer writes clicks.
+package internals it checks.  The package reads its Monte Carlo class
+table, route splits, same-port transmissions and mode tags off the 8-slot
+network; the closed forms of those numbers live here, as their oracles.
+
+The exception is ``reference_synthesize``, the click synthesizer's earlier
+block-by-block form, which pins the order in which the table-driven
+synthesizer writes clicks.  It shares the package's mode tag, outcome-class
+probabilities and stream type, but draws its route splits and same-port
+transmissions from the closed forms here.  Those agree with the package's
+network-derived thresholds to about 1e-16, so the two synthesizers write
+the same bytes unless a uniform draw falls between the two thresholds.
 """
 
 from __future__ import annotations
@@ -117,6 +124,13 @@ def photon_label(arm: int, port: int, orientation_sign: int):
     a pair whose arm 1 carries the branch ``orientation_sign``."""
     pol = "V" if (arm == 1) == (port == 0) else "H"
     return arm, pol, orientation_sign if arm == 1 else -orientation_sign
+
+
+def photon_tag(arm: int, port: int, orientation_sign: int) -> int:
+    """The two-bit wire tag of ``photon_label``: bit 0 the positive branch,
+    bit 1 V polarization."""
+    _, pol, branch = photon_label(arm, port, orientation_sign)
+    return (branch > 0) + 2 * (pol == "V")
 
 
 def pair_accepted(route1, route2, port1, port2, orientation_sign, accept) -> bool:
@@ -259,6 +273,14 @@ def cross_pair_classes(xi: float, theta: float, phi: float = 0.0) -> dict[str, f
     return classes
 
 
+def analyzer_transmission(arm: int, port: int, xi: float, theta: float) -> float:
+    """Chance that a photon from ``arm`` at ``port`` (0 = A, 1 = B) passes
+    its analyzer: arm 1 reaches A as V and B as H, arm 2 the reverse."""
+    angle = xi if port == 0 else theta
+    pol_v = (arm == 1) == (port == 0)
+    return math.sin(angle) ** 2 if pol_v else math.cos(angle) ** 2
+
+
 def same_pair_classes(arm: int, xi: float, theta: float) -> dict[str, float]:
     """Outcome-class probabilities for two photons in the same arm.
 
@@ -266,10 +288,7 @@ def same_pair_classes(arm: int, xi: float, theta: float) -> dict[str, float]:
     interference); a cross-port double click exists but fails the
     same-branch gating, so it lands in its own class.
     """
-    if arm == 1:
-        t_a, t_b = math.sin(xi) ** 2, math.cos(theta) ** 2
-    else:
-        t_a, t_b = math.cos(xi) ** 2, math.sin(theta) ** 2
+    t_a, t_b = (analyzer_transmission(arm, port, xi, theta) for port in (0, 1))
     one = {
         ("A", True): 0.5 * t_a,
         ("A", False): 0.5 * (1 - t_a),

@@ -196,6 +196,13 @@ class TestCommands:
         assert len(lines) == 38  # header + 0..180 step 5
         assert lines[0] == "xi_deg,theta_deg,xi_plus_theta_deg,r_si"
 
+    def test_stdout_is_the_out_file(self, tmp_path, capsys):
+        out_path = tmp_path / "fig2b.csv"
+        assert run_cli(["fig2b", "--out", str(out_path)], capsys)[0] == 0
+        code, out, _ = run_cli(["fig2b"], capsys)
+        assert code == 0
+        assert out.encode("utf-8") == out_path.read_bytes()
+
     def test_chsh_prints_tsirelson(self, capsys):
         code, out, _ = run_cli(["chsh"], capsys)
         assert code == 0

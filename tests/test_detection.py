@@ -13,9 +13,10 @@ from cesim.detection import (
     CorrelationEstimate,
     Outcome,
     SelectionRule,
+    class_table,
     heterodyne_product,
+    mode_tag,
     outcome_probabilities,
-    route_split,
     sample_coincidence_counts,
     selection_efficiency,
 )
@@ -28,6 +29,7 @@ from _oracles import (
     RULE_MASKS,
     RULE_PREDICATES,
     accepted_route_split,
+    analyzer_transmission,
     correlation_r,
     cross_pair_classes,
     default_accept,
@@ -35,6 +37,7 @@ from _oracles import (
     label_from_click,
     lone_click_route_split,
     pair_accepted,
+    photon_tag,
     reject_reason,
     same_pair_classes,
     visibility,
@@ -281,13 +284,55 @@ class TestOutcomeDistribution:
     st.sampled_from([0.0, math.pi / 4, math.pi / 2]) | st.floats(-math.pi, math.pi),
     st.sampled_from([0.0, math.pi / 4, math.pi / 2]) | st.floats(-math.pi, math.pi),
 )
-def test_route_split_matches_the_split_oracles_bit_for_bit(xi, theta):
+def test_route_split_matches_the_split_oracles(xi, theta):
     eraser = EraserSetting(xi, theta)
-    split = route_split(eraser)
-    assert split[Outcome.COINCIDENCE] == accepted_route_split(eraser)
-    assert split[Outcome.ONLY_D1] == lone_click_route_split(eraser, 0)
-    assert split[Outcome.ONLY_D2] == lone_click_route_split(eraser, 1)
+    split = class_table(eraser).splits
+    assert split[Outcome.COINCIDENCE] == pytest.approx(accepted_route_split(eraser), abs=1e-15)
+    assert split[Outcome.ONLY_D1] == pytest.approx(lone_click_route_split(eraser, 0), abs=1e-15)
+    assert split[Outcome.ONLY_D2] == pytest.approx(lone_click_route_split(eraser, 1), abs=1e-15)
     assert len(split) == len(Outcome)
+
+
+@given(
+    st.sampled_from([0.0, math.pi / 4, math.pi / 2]) | st.floats(-math.pi, math.pi),
+    st.sampled_from([0.0, math.pi / 4, math.pi / 2]) | st.floats(-math.pi, math.pi),
+    st.sampled_from([1, 2]),
+    st.sampled_from([0, 1]),
+    st.sampled_from([-1, 1]),
+)
+def test_transmissions_and_mode_tags_match_the_oracles(xi, theta, arm, port, sign):
+    transmission = class_table(EraserSetting(xi, theta)).transmission[arm - 1][port]
+    assert transmission == pytest.approx(analyzer_transmission(arm, port, xi, theta), abs=1e-15)
+    assert mode_tag(arm, port, sign) == photon_tag(arm, port, sign)
+
+
+@given(st.floats(-7, 7), st.floats(-7, 7))
+def test_structurally_impossible_classes_are_exactly_zero(xi, theta):
+    classes = class_table(EraserSetting(xi, theta)).classes
+    assert classes[0][Outcome.REJECTED_COINCIDENCE] == 0.0
+    assert classes[1][Outcome.COINCIDENCE] == classes[2][Outcome.COINCIDENCE] == 0.0
+    assert all(math.fsum(row) == 1.0 and min(row) >= 0.0 for row in classes)
+
+
+def test_planted_splitter_sign_fault_moves_both_sides(monkeypatch):
+    """Both sides of the ``both`` check read one network, so a network
+    fault must move the closed form and the Monte Carlo class together, off
+    cos^2(xi + theta), where the acceptance gate sees it."""
+    import cesim.interferometer as interferometer
+
+    def pbs_route_without_sign_flip(fld):
+        z = 0j
+        return (z, z, fld[2], fld[3], fld[4], fld[5], z, z), (fld[0], fld[1], z, z, z, z, fld[6], fld[7])
+
+    def offsets(eraser):
+        expected = math.cos(eraser.xi + eraser.theta) ** 2
+        accepted = 4 * outcome_probabilities(None, eraser)[Outcome.COINCIDENCE]
+        return abs(analytic_r(PairSetting(1e6), eraser) - expected), abs(accepted - expected)
+
+    eraser = EraserSetting(math.radians(22.5), math.radians(22.5))
+    assert max(offsets(eraser)) < 1e-15
+    monkeypatch.setattr(interferometer, "pbs_route", pbs_route_without_sign_flip)
+    assert min(offsets(eraser)) > 0.4  # both read cos^2(xi - theta) = 1 instead of 1/2
 
 
 class TestSelectionEfficiency:

@@ -4,6 +4,7 @@ import hashlib
 import math
 import statistics
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,6 +88,27 @@ class TestWireFormat:
         assert data[20:24] == (7).to_bytes(4, "little")  # pair_id
         assert data[24:26] == b"\x00\x00"  # reserved
         assert stream_rows(decode_stream(data)) == [(1, 0, 0, 7)]
+
+    def test_encode_copies_the_body_once(self):
+        n = 500_000
+        stream = TagStream.from_fields(
+            np.arange(n, dtype=np.uint64), np.arange(n) % 2, np.arange(n) % 4, np.arange(n, dtype=np.uint32)
+        )
+        tracemalloc.start()
+        try:
+            data = encode_stream(stream)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        body = n * RECORD_SIZE
+        assert data[HEADER_SIZE:] == stream.array.tobytes()
+        assert peak <= 1.1 * body
+
+    def test_encode_reads_a_strided_array(self):
+        array = np.zeros(6, dtype=RECORD_DTYPE)
+        array["t_ps"] = np.arange(6)
+        stream = TagStream(array[::2])
+        assert decode_stream(encode_stream(stream)) == stream
 
     def test_bad_magic(self):
         with pytest.raises(BadMagicError):
