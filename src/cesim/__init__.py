@@ -37,7 +37,6 @@ from .detection import (
     Outcome,
     SelectionRule,
     heterodyne_product,
-    outcome_probabilities,
     selection_efficiency,
 )
 from .eventstream import (

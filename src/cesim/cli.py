@@ -225,7 +225,7 @@ def _deliver(table: Table, options: dict) -> None:
 
 def _cmd_local(options: dict) -> int:
     cfg = _experiment_config(options)
-    table = experiments.run_local(cfg, _eraser(options))
+    table = _build(experiments.run_local, cfg=cfg, eraser=_eraser(options))
     _deliver(table, options)
     return 0
 
@@ -235,7 +235,7 @@ def _cmd_correlation(options: dict) -> int:
     eraser = _eraser(options, default_xi=0.0, default_theta=0.0)
     cs = _build(CoincidenceSetting.for_bandwidth, delta_big=cfg.delta_big, tau_si=options["tau-si-s"])
     setting = experiments.setting_for(cfg.delta_big, cfg.tau)
-    value = experiments.analytic_r(setting, eraser, cs, raw=cfg.raw_values)
+    value = _build(experiments.analytic_r, setting=setting, eraser=eraser, coincidence=cs, raw=cfg.raw_values)
     print(f"R_normalized = {format(value, '.17g')}")
     return 0
 

@@ -11,11 +11,15 @@ The Monte Carlo side reads what it draws off the same network: a
 per-photon table built from ``interferometer.output_fields`` gives the
 mode tags and, by the Born rule, the outcome classes, route splits and
 same-port transmissions.  Their closed forms live in the test oracles.
+
+This module is the one detector model: ``click_table`` says which
+detector each photon of a pair clicks, with which tag, and ``bare_state``
+indexes a pair's pre-analyzer state in it.  The click synthesizer and
+``selection_efficiency`` both read them.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import IntEnum
@@ -229,57 +233,85 @@ def class_table(eraser: EraserSetting) -> ClassTable:
     return ClassTable(tuple(map(tuple, rows)), tuple(splits), transmission)
 
 
-def outcome_probabilities(shared_path: int | None, eraser: EraserSetting | None) -> tuple[float, ...]:
-    """Outcome-class probabilities, indexed by ``Outcome``, of a pair whose
-    photons share the arm ``shared_path`` (1 or 2), or take different arms
-    when it is None: a ``class_table`` row, or without analyzers, where
-    every photon clicks at its port, fixed.  They sum to one exactly."""
-    if eraser is None:
-        if shared_path is None:
-            return (0.5, 0.0, 0.0, 0.0, 0.0, 0.25, 0.25)
-        return (0.0, 0.5, 0.0, 0.0, 0.0, 0.25, 0.25)
-    return class_table(eraser).classes[shared_path or 0]
+def _analyzer_slots(outcome: Outcome, route1: int, route2: int, arm1_at_a: int, transmission):
+    """The two photon slots of a pair behind the analyzers.  A click's rank
+    is 4 * outcome plus the block that wrote it: a cross-path pair's
+    arm-1-at-A block, its other block, then the shared-arm-1 and
+    shared-arm-2 blocks; or a bunched pair's photon, 1 before 2."""
+    if outcome in (Outcome.SAME_PORT_A, Outcome.SAME_PORT_B):
+        # both photons on one detector, independent transmissions
+        channel = outcome - Outcome.SAME_PORT_A
+        return tuple(
+            (arm, channel, 4 * outcome + k, transmission[arm - 1][channel])
+            for k, arm in enumerate((route1, route2))
+        )
+    if route1 != route2:  # of a cross-path pair only the photons at clicking ports
+        arm_at, block, both = ((1, 2) if arm1_at_a else (2, 1)), 1 - arm1_at_a, Outcome.COINCIDENCE
+    else:
+        arm_at, block, both = (route1, route1), 1 + route1, Outcome.REJECTED_COINCIDENCE
+    clicks = (outcome in (both, Outcome.ONLY_D1), outcome in (both, Outcome.ONLY_D2))
+    return tuple((arm_at[ch], ch, 4 * outcome + block, 1.0) if clicks[ch] else None for ch in (0, 1))
 
 
-def _pair_state(route1, route2, port1, port2, sign):
-    """Index 0..31 of a pair's (route1, route2, port1, port2, sign) state;
-    works on ints and, elementwise, on numpy arrays."""
-    return (route1 - 1) + 2 * (route2 - 1) + 4 * port1 + 8 * port2 + 16 * (sign > 0)
+def click_table(transmission) -> np.ndarray:
+    """The one click table: row 4 * state + 2 * plus + slot holds the
+    channel, mode tag, emit rank and click probability of photon slot
+    ``slot`` of a pair in ``state`` whose arm 1 carries the positive
+    branch when ``plus`` is 1.  With arms = 2 * route1 + route2 - 3, the
+    state is arms + 4 * port1 + 8 * port2 without analyzers (no
+    ``transmission``), where every photon clicks at its port, and
+    2 * (4 * outcome + arms) + arm1_at_a behind them."""
+    if transmission is None:
+        ports = ((p1, p2) for p2 in (0, 1) for p1 in (0, 1))
+        states = [((r1, p1, 0, 1.0), (r2, p2, 1, 1.0)) for p1, p2 in ports for r1 in (1, 2) for r2 in (1, 2)]
+    else:
+        states = [
+            _analyzer_slots(outcome, r1, r2, arm1_at_a, transmission)
+            for outcome in Outcome for r1 in (1, 2) for r2 in (1, 2) for arm1_at_a in (0, 1)
+        ]
+    rows = [slot or (1, 0, 0, 0.0) for slots in states for _ in (-1, 1) for slot in slots]
+    arm, channel, rank, p_click = (np.array(column) for column in zip(*rows))
+    table = np.empty(len(rows), dtype=[("channel", "u1"), ("tag", "u1"), ("rank", "u1"), ("p_click", "<f8")])
+    table["channel"], table["rank"], table["p_click"] = channel, rank, p_click
+    table["tag"] = mode_tag(arm, channel, np.tile([-1, -1, 1, 1], len(states)))
+    return table
 
 
-def _pair_accepted(route1, route2, port1, port2, sign, rule: SelectionRule) -> bool:
-    if port1 == port2:
-        return False
-    tag1, tag2 = mode_tag(route1, port1, sign), mode_tag(route2, port2, sign)
-    return rule.accepts(tag1, tag2) if port1 == 0 else rule.accepts(tag2, tag1)
+def bare_state(route1, route2, port1, port2, sign):
+    """``2 * state + plus``, the pair's row pair in ``click_table(None)``:
+    0..31 for (route1, route2, port1, port2, sign).  Works on ints and,
+    elementwise, on numpy arrays."""
+    return 2 * (2 * route1 + route2 - 3 + 4 * port1 + 8 * port2) + (sign > 0)
 
 
 def selection_efficiency(batch: PairBatch, rule: SelectionRule | None = None) -> float:
     """Fraction of generated pairs in the rule-accepted class, before any
-    analyzer.  With the heterodyne rule the expectation is 1/4: half of
-    the pairs split across the arms and half of those exit distinct ports.
+    analyzer: both photons click, on different detectors, with D1 and D2
+    tags the rule keeps.  With the heterodyne rule the expectation is 1/4:
+    half of the pairs split across the arms and half of those exit
+    distinct ports.
     """
     rule = rule or _HETERODYNE
-    states = _pair_state(batch.route1, batch.route2, batch.port1, batch.port2, batch.orientation_sign)
-    counts = np.bincount(np.asarray(states, dtype=np.intp), minlength=32)
+    states = bare_state(batch.route1, batch.route2, batch.port1, batch.port2, batch.orientation_sign)
+    counts = np.bincount(states, minlength=32)
     n = int(counts.sum())
     if n == 0:
         raise ValueError("selection efficiency is undefined for an empty stream")
-    accepted = 0
-    for state in itertools.product((1, 2), (1, 2), (0, 1), (0, 1), (-1, 1)):
-        if _pair_accepted(*state, rule):
-            accepted += int(counts[_pair_state(*state)])
-    return accepted / n
+    accept = np.zeros(32, dtype=bool)
+    for state, slots in enumerate(click_table(None)[["channel", "tag"]].reshape(32, 2).tolist()):
+        (channel1, tag1), (channel2, tag2) = sorted(slots)  # D1 first when the channels differ
+        accept[state] = channel1 != channel2 and rule.accepts(tag1, tag2)
+    return int(counts[accept].sum()) / n
 
 
 def sample_coincidence_counts(
-    n_pairs: int, eraser: EraserSetting | None, rng: np.random.Generator
+    n_pairs: int, eraser: EraserSetting, rng: np.random.Generator
 ) -> tuple[int, int]:
     """Event-level draw of (cross-path count, accepted-coincidence count)
     for ``n_pairs`` generated pairs."""
     route1 = rng.integers(0, 2, n_pairs)
     route2 = rng.integers(0, 2, n_pairs)
     n_cross = int(np.count_nonzero(route1 != route2))
-    p_accept = outcome_probabilities(None, eraser)[Outcome.COINCIDENCE]
+    p_accept = class_table(eraser).classes[0][Outcome.COINCIDENCE]
     hits = rng.random(n_cross) < p_accept
     return n_cross, int(np.count_nonzero(hits))

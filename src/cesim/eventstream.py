@@ -21,6 +21,10 @@ input of the selection rule.
 In hardware the frequency branch of a click would be inferred from the
 heterodyne beat; here it rides in the flags because the simulator, not the
 detector, produces the events.
+
+Besides the wire format this module holds the matcher, the delay
+histogram and the click synthesizer's draws and sort; which detector
+clicks, with which tag, comes from ``detection.click_table``.
 """
 
 from __future__ import annotations
@@ -37,11 +41,12 @@ from .detection import (
     FLAG_POL_V,
     TAG_BITS,
     CoincidenceSetting,
-    Outcome,
     SelectionRule,
+    bare_state,
     class_table,
-    mode_tag,
+    click_table,
 )
+from .experiments import Table, emit_csv
 from .interferometer import EraserSetting
 from .source import PairBatch
 
@@ -486,50 +491,6 @@ def fit_decay_ps(hist: TauHistogram, min_count: int = 10) -> float:
     return -1.0 / slope
 
 
-def _analyzer_slots(outcome: Outcome, route1: int, route2: int, arm1_at_a: int, transmission):
-    """The two photon slots of a pair behind the analyzers.  A click's rank
-    is 4 * outcome plus the block that wrote it: a cross-path pair's
-    arm-1-at-A block, its other block, then the shared-arm-1 and
-    shared-arm-2 blocks; or a bunched pair's photon, 1 before 2."""
-    if outcome in (Outcome.SAME_PORT_A, Outcome.SAME_PORT_B):
-        # both photons on one detector, independent transmissions
-        channel = outcome - Outcome.SAME_PORT_A
-        return tuple(
-            (arm, channel, 4 * outcome + k, transmission[arm - 1][channel])
-            for k, arm in enumerate((route1, route2))
-        )
-    if route1 != route2:  # of a cross-path pair only the photons at clicking ports
-        arm_at, block, both = ((1, 2) if arm1_at_a else (2, 1)), 1 - arm1_at_a, Outcome.COINCIDENCE
-    else:
-        arm_at, block, both = (route1, route1), 1 + route1, Outcome.REJECTED_COINCIDENCE
-    clicks = (outcome in (both, Outcome.ONLY_D1), outcome in (both, Outcome.ONLY_D2))
-    return tuple((arm_at[ch], ch, 4 * outcome + block, 1.0) if clicks[ch] else None for ch in (0, 1))
-
-
-def _click_table(transmission) -> np.ndarray:
-    """The one click table: row 4 * state + 2 * plus + slot holds the
-    channel, mode tag, emit rank and click probability of photon slot
-    ``slot`` of a pair in ``state`` whose arm 1 carries the positive
-    branch when ``plus`` is 1.  With arms = 2 * route1 + route2 - 3, the
-    state is arms + 4 * port1 + 8 * port2 without analyzers (no
-    ``transmission``), where every photon clicks at its port, and
-    2 * (4 * outcome + arms) + arm1_at_a behind them."""
-    if transmission is None:
-        ports = ((p1, p2) for p2 in (0, 1) for p1 in (0, 1))
-        states = [((r1, p1, 0, 1.0), (r2, p2, 1, 1.0)) for p1, p2 in ports for r1 in (1, 2) for r2 in (1, 2)]
-    else:
-        states = [
-            _analyzer_slots(outcome, r1, r2, arm1_at_a, transmission)
-            for outcome in Outcome for r1 in (1, 2) for r2 in (1, 2) for arm1_at_a in (0, 1)
-        ]
-    rows = [slot or (1, 0, 0, 0.0) for slots in states for _ in (-1, 1) for slot in slots]
-    arm, channel, rank, p_click = (np.array(column) for column in zip(*rows))
-    table = np.empty(len(rows), dtype=[("channel", "u1"), ("tag", "u1"), ("rank", "u1"), ("p_click", "<f8")])
-    table["channel"], table["rank"], table["p_click"] = channel, rank, p_click
-    table["tag"] = mode_tag(arm, channel, np.tile([-1, -1, 1, 1], len(states)))
-    return table
-
-
 def synthesize_stream(
     batch: PairBatch,
     eraser: EraserSetting | None = None,
@@ -557,13 +518,12 @@ def synthesize_stream(
     delay_ps = np.rint(delay_s * 1e12).astype(np.int64)
     del delay_s
 
-    arms = 2 * batch.route1 + batch.route2 - 3  # (1, 1), (1, 2), (2, 1), (2, 2) -> 0..3
     if eraser is None:
-        table = _click_table(None)
-        state = arms + 4 * batch.port1 + 8 * batch.port2
+        table = click_table(None)
+        state = bare_state(batch.route1, batch.route2, batch.port1, batch.port2, batch.orientation_sign)
     else:
         born = class_table(eraser)
-        table = _click_table(born.transmission)
+        table = click_table(born.transmission)
         # A pair's outcome is the number of its arms' class edges at or
         # below u_class (searchsorted, side="right").  That number is fixed
         # between two neighbouring cuts, the edges of all arms, so
@@ -572,13 +532,14 @@ def synthesize_stream(
         cuts = sorted(set(np.concatenate(edges).tolist()))
         outcome_at = np.array([np.searchsorted(e, [-1.0, *cuts], side="right") for e in edges], np.uint8)
         u = rng.random(n)  # u_class
+        arms = 2 * batch.route1 + batch.route2 - 3  # (1, 1), (1, 2), (2, 1), (2, 2) -> 0..3
         at = arms * np.uint8(len(cuts) + 1)
         for cut in cuts:
             at += u >= cut
         outcome = outcome_at.ravel()[at]
         rng.random(out=u)  # u_route
         state = (4 * outcome + arms) * 2 + (u < np.array(born.splits)[outcome])
-    state = 2 * state + (batch.orientation_sign > 0)
+        state = 2 * state + (batch.orientation_sign > 0)
     code = (2 * state)[:, None] + np.arange(2, dtype=np.uint8)  # the rows of slots 0 and 1
     keep = np.ones((n, 2), dtype=bool)
     if eraser is not None:
@@ -622,10 +583,8 @@ def synthesize_stream(
 
 
 def write_histogram_csv(hist: TauHistogram, path) -> None:
-    lines = ["bin_lo_ps,bin_hi_ps,count"]
-    for lo, hi, count in zip(hist.bin_lo_ps, hist.bin_hi_ps, hist.counts):
-        lines.append(f"{format(lo, '.17g')},{format(hi, '.17g')},{int(count)}")
-    FsPath(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = zip(hist.bin_lo_ps.tolist(), hist.bin_hi_ps.tolist(), hist.counts.tolist())
+    emit_csv(Table(("bin_lo_ps", "bin_hi_ps", "count"), list(rows)), path)
 
 
 # the ",accepted,reject_reason" end of a CSV row, indexed by 4 * accepted + reason

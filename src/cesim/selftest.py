@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .detection import Outcome, outcome_probabilities, selection_efficiency
+from .detection import Outcome, class_table, selection_efficiency
 from .eventstream import TagStream, decode_stream, encode_stream, match_coincidences
 from .experiments import ExperimentConfig, analytic_r, emit_csv, run_fig2b
 from .interferometer import (
@@ -67,7 +67,7 @@ def _check_outcome_classes() -> bool:
     normalized, and 4 P(accepted) = cos^2(xi + theta)."""
     for xi_deg, theta_deg in ((0, 0), (22.5, 22.5), (45, 0), (30, 60)):
         xi, theta = math.radians(xi_deg), math.radians(theta_deg)
-        dist = outcome_probabilities(None, EraserSetting(xi, theta))
+        dist = class_table(EraserSetting(xi, theta)).classes[0]
         fringe = math.cos(xi + theta) ** 2
         if abs(sum(dist) - 1.0) > 1e-15 or abs(4 * dist[Outcome.COINCIDENCE] - fringe) > 1e-15:
             return False

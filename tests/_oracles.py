@@ -8,9 +8,10 @@ network; the closed forms of those numbers live here, as their oracles.
 
 The exception is ``reference_synthesize``, the click synthesizer's earlier
 block-by-block form, which pins the order in which the table-driven
-synthesizer writes clicks.  It shares the package's mode tag, outcome-class
-probabilities and stream type, but draws its route splits and same-port
-transmissions from the closed forms here.  Those agree with the package's
+synthesizer writes clicks.  It shares the package's mode tag, the class
+probabilities of ``class_table(...).classes`` and the stream type, but
+draws its route splits and same-port transmissions from the closed forms
+here.  Those agree with the package's
 network-derived thresholds to about 1e-16, so the two synthesizers write
 the same bytes unless a uniform draw falls between the two thresholds.
 """
@@ -24,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from cesim.detection import FLAG_POL_V, CoincidenceSetting, Outcome, mode_tag, outcome_probabilities
+from cesim.detection import FLAG_POL_V, CoincidenceSetting, Outcome, class_table, mode_tag
 from cesim.eventstream import TagStream, TimestampRangeError
 
 SQ = math.sqrt(0.5)
@@ -444,11 +445,13 @@ def reference_synthesize(batch, eraser=None, coincidence=None, jitter: bool = Fa
     cross = batch.cross_mask
     cls = np.full(n, -1, dtype=np.int64)  # an Outcome per pair
 
+    classes = class_table(eraser).classes
+
     def classify(mask, shared_path):
-        edges = np.cumsum(outcome_probabilities(shared_path, eraser))[:-1]
+        edges = np.cumsum(classes[shared_path])[:-1]
         cls[mask] = np.searchsorted(edges, u_class[mask], side="right")
 
-    classify(cross, None)
+    classify(cross, 0)
     classify(~cross & (batch.route1 == 1), 1)
     classify(~cross & (batch.route1 == 2), 2)
 

@@ -120,6 +120,8 @@ class TestParsing:
             ["correlation", "--xi-deg", "nan"],
             ["fig2b", "--mode", "mc", "--seed", "-1"],
             ["correlation", "--tau-si-s", "-1"],
+            ["correlation", "--delta-hz", "1e300", "--tau-s", "1e10"],
+            ["local", "--delta-hz", "1e308"],
             ["chsh", "--tau-si-s", "-1"],
             ["chsh", "--mode", "mc", "--tau-si-s", "1e-6"],
             ["dephasing", "--samples", "0"],

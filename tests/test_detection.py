@@ -16,7 +16,6 @@ from cesim.detection import (
     class_table,
     heterodyne_product,
     mode_tag,
-    outcome_probabilities,
     sample_coincidence_counts,
     selection_efficiency,
 )
@@ -213,27 +212,27 @@ class TestOutcomeDistribution:
     def test_sums_to_one_exactly_cross(self, rng):
         for _ in range(300):
             eraser = EraserSetting(float(rng.uniform(-7, 7)), float(rng.uniform(-7, 7)))
-            assert math.fsum(outcome_probabilities(None, eraser)) == 1.0
+            assert math.fsum(class_table(eraser).classes[0]) == 1.0
 
     @given(st.floats(-7, 7), st.floats(-7, 7))
     def test_sums_to_one_hypothesis(self, xi, theta):
-        dist = outcome_probabilities(None, EraserSetting(xi, theta))
+        dist = class_table(EraserSetting(xi, theta)).classes[0]
         assert sum(dist) == pytest.approx(1.0, abs=1e-15)
         assert all(p >= 0 for p in dist)
 
     def test_same_path_never_accepts(self, rng):
         for _ in range(50):
             eraser = EraserSetting(float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3)))
-            dist = outcome_probabilities(1, eraser)
+            dist = class_table(eraser).classes[1]
             assert dist[Outcome.COINCIDENCE] == 0.0
             assert math.fsum(dist) == pytest.approx(1.0, abs=1e-15)
 
     def test_orthogonal_analyzers_kill_acceptance(self):
-        dist = outcome_probabilities(None, EraserSetting(math.radians(30), math.radians(60)))
+        dist = class_table(EraserSetting(math.radians(30), math.radians(60))).classes[0]
         assert dist[Outcome.COINCIDENCE] == pytest.approx(0.0, abs=1e-32)
 
     def test_aligned_acceptance_pinned_by_oracle(self):
-        dist = outcome_probabilities(None, EraserSetting(0.0, 0.0))
+        dist = class_table(EraserSetting(0.0, 0.0)).classes[0]
         oracle = cross_pair_classes(0.0, 0.0)
         assert dist[Outcome.COINCIDENCE] == pytest.approx(oracle["coincidence"], abs=1e-15)
         assert dist[Outcome.COINCIDENCE] == pytest.approx(0.25, abs=1e-15)
@@ -249,7 +248,7 @@ class TestOutcomeDistribution:
         }
         for _ in range(100):
             xi, theta = float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3))
-            dist = outcome_probabilities(None, EraserSetting(xi, theta))
+            dist = class_table(EraserSetting(xi, theta)).classes[0]
             oracle = cross_pair_classes(xi, theta, phi=float(rng.uniform(0, 6)))
             for outcome, key in mapping.items():
                 assert dist[outcome] == pytest.approx(oracle[key], abs=1e-12), (xi, theta, outcome)
@@ -266,18 +265,10 @@ class TestOutcomeDistribution:
         for arm in (1, 2):
             for _ in range(50):
                 xi, theta = float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3))
-                dist = outcome_probabilities(arm, EraserSetting(xi, theta))
+                dist = class_table(EraserSetting(xi, theta)).classes[arm]
                 oracle = same_pair_classes(arm, xi, theta)
                 for outcome, key in mapping.items():
                     assert dist[outcome] == pytest.approx(oracle[key], abs=1e-12)
-
-    def test_no_analyzer_distribution(self):
-        cross = outcome_probabilities(None, None)
-        assert cross[Outcome.COINCIDENCE] == 0.5
-        assert cross[Outcome.SAME_PORT_A] == 0.25
-        same = outcome_probabilities(1, None)
-        assert same[Outcome.COINCIDENCE] == 0.0
-        assert same[Outcome.REJECTED_COINCIDENCE] == 0.5
 
 
 @given(
@@ -326,7 +317,7 @@ def test_planted_splitter_sign_fault_moves_both_sides(monkeypatch):
 
     def offsets(eraser):
         expected = math.cos(eraser.xi + eraser.theta) ** 2
-        accepted = 4 * outcome_probabilities(None, eraser)[Outcome.COINCIDENCE]
+        accepted = 4 * class_table(eraser).classes[0][Outcome.COINCIDENCE]
         return abs(analytic_r(PairSetting(1e6), eraser) - expected), abs(accepted - expected)
 
     eraser = EraserSetting(math.radians(22.5), math.radians(22.5))
