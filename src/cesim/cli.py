@@ -6,6 +6,11 @@ internally.  Option precedence, lowest first: built-in defaults, the
 explicit flags.  The config file is plain text, one ``key = value`` pair
 per line, ``#`` comments allowed; keys are the long option names without
 the leading dashes (for example ``xi-deg = 22.5``).
+
+``main`` is the one error boundary: a ``ValueError`` from parsing or from
+the library (a value the run cannot use) ends the run with one
+``error:`` line and exit 2; a failed self-check or an I/O error ends it
+with exit 1.
 """
 
 from __future__ import annotations
@@ -81,10 +86,6 @@ OPTIONS = (
 _BY_NAME = {opt.name: opt for opt in OPTIONS}
 
 
-class CliError(Exception):
-    pass
-
-
 @dataclass(slots=True)
 class CliInvocation:
     subcommand: str
@@ -125,17 +126,17 @@ def _read_config(path: str) -> dict:
         if not line:
             continue
         if "=" not in line:
-            raise CliError(f"{path}:{lineno}: expected 'key = value'")
+            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _BY_NAME:
-            raise CliError(f"{path}:{lineno}: unknown option '{key}'")
+            raise ValueError(f"{path}:{lineno}: unknown option '{key}'")
         opt = _BY_NAME[key]
         try:
             entries[key] = opt.cast(value)
         except ValueError as exc:
-            raise CliError(f"{path}:{lineno}: bad value for '{key}': {value}") from exc
+            raise ValueError(f"{path}:{lineno}: bad value for '{key}': {value}") from exc
         if opt.choices and entries[key] not in opt.choices:
-            raise CliError(
+            raise ValueError(
                 f"{path}:{lineno}: bad value for '{key}': {value} (choose from {', '.join(opt.choices)})"
             )
     return entries
@@ -164,23 +165,15 @@ def parse_args(argv=None) -> CliInvocation:
         try:
             options["seed"] = int(env_seed)
         except ValueError as exc:
-            raise CliError(f"{ENV_SEED} must be an integer, got {env_seed!r}") from exc
+            raise ValueError(f"{ENV_SEED} must be an integer, got {env_seed!r}") from exc
     if config_path is not None:
         options.update(_read_config(config_path))
     for key, value in cli_values.items():
         if value is not None:
             options[key.replace("_", "-")] = value
     if options["seed"] < 0:
-        raise CliError(f"seed must be non-negative, got {options['seed']}")
+        raise ValueError(f"seed must be non-negative, got {options['seed']}")
     return CliInvocation(subcommand, options)
-
-
-def _build(make, **fields):
-    """``make(**fields)``, with a ValueError reported as a CliError."""
-    try:
-        return make(**fields)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
 
 
 def _parse_grid(text: str | None) -> DetuningGrid | None:
@@ -188,17 +181,16 @@ def _parse_grid(text: str | None) -> DetuningGrid | None:
         return None
     parts = text.split(":")
     if len(parts) != 3:
-        raise CliError(f"--grid expects LO:HI:STEP, got {text!r}")
+        raise ValueError(f"--grid expects LO:HI:STEP, got {text!r}")
     try:
         lo, hi, step = (float(p) for p in parts)
     except ValueError as exc:
-        raise CliError(f"--grid expects numeric LO:HI:STEP, got {text!r}") from exc
-    return _build(DetuningGrid, lo=lo, hi=hi, step=step)
+        raise ValueError(f"--grid expects numeric LO:HI:STEP, got {text!r}") from exc
+    return DetuningGrid(lo, hi, step)
 
 
 def _experiment_config(options: dict) -> ExperimentConfig:
-    return _build(
-        ExperimentConfig,
+    return ExperimentConfig(
         delta_big=options["delta-hz"],
         grid=_parse_grid(options["grid"]),
         tau=options["tau-s"],
@@ -212,7 +204,7 @@ def _experiment_config(options: dict) -> ExperimentConfig:
 def _eraser(options: dict, default_xi=45.0, default_theta=45.0) -> EraserSetting:
     xi = options["xi-deg"] if options["xi-deg"] is not None else default_xi
     theta = options["theta-deg"] if options["theta-deg"] is not None else default_theta
-    return _build(EraserSetting, xi=math.radians(xi), theta=math.radians(theta))
+    return EraserSetting(math.radians(xi), math.radians(theta))
 
 
 def _deliver(table: Table, options: dict) -> None:
@@ -225,7 +217,7 @@ def _deliver(table: Table, options: dict) -> None:
 
 def _cmd_local(options: dict) -> int:
     cfg = _experiment_config(options)
-    table = _build(experiments.run_local, cfg=cfg, eraser=_eraser(options))
+    table = experiments.run_local(cfg, _eraser(options))
     _deliver(table, options)
     return 0
 
@@ -233,9 +225,9 @@ def _cmd_local(options: dict) -> int:
 def _cmd_correlation(options: dict) -> int:
     cfg = _experiment_config(options)
     eraser = _eraser(options, default_xi=0.0, default_theta=0.0)
-    cs = _build(CoincidenceSetting.for_bandwidth, delta_big=cfg.delta_big, tau_si=options["tau-si-s"])
+    cs = CoincidenceSetting.for_bandwidth(cfg.delta_big, tau_si=options["tau-si-s"])
     setting = experiments.setting_for(cfg.delta_big, cfg.tau)
-    value = _build(experiments.analytic_r, setting=setting, eraser=eraser, coincidence=cs, raw=cfg.raw_values)
+    value = experiments.analytic_r(setting, eraser, cs, raw=cfg.raw_values)
     print(f"R_normalized = {format(value, '.17g')}")
     return 0
 
@@ -245,9 +237,9 @@ def _cmd_fig2a(options: dict) -> int:
     if options["xi-deg"] is not None or options["theta-deg"] is not None:
         xi = options["xi-deg"] if options["xi-deg"] is not None else 0.0
         theta = options["theta-deg"] if options["theta-deg"] is not None else 0.0
-        table = _build(experiments.run_fig2a, cfg=cfg, angles_deg=[(xi, theta)])
+        table = experiments.run_fig2a(cfg, [(xi, theta)])
     else:
-        table = _build(experiments.run_fig2a, cfg=cfg)
+        table = experiments.run_fig2a(cfg)
     _deliver(table, options)
     return 0
 
@@ -255,14 +247,14 @@ def _cmd_fig2a(options: dict) -> int:
 def _cmd_fig2b(options: dict) -> int:
     cfg = _experiment_config(options)
     theta = options["theta-deg"] if options["theta-deg"] is not None else 0.0
-    table = _build(experiments.run_fig2b, cfg=cfg, theta_deg=theta)
+    table = experiments.run_fig2b(cfg, theta)
     _deliver(table, options)
     return 0
 
 
 def _cmd_dephasing(options: dict) -> int:
     cfg = _experiment_config(options)
-    table = _build(experiments.run_dephasing, cfg=cfg, eraser=_eraser(options), n_samples=options["samples"])
+    table = experiments.run_dephasing(cfg, _eraser(options), n_samples=options["samples"])
     _deliver(table, options)
     return 0
 
@@ -270,7 +262,7 @@ def _cmd_dephasing(options: dict) -> int:
 def _cmd_chsh(options: dict) -> int:
     cfg = _experiment_config(options)
     angles = (options["a-deg"], options["a2-deg"], options["b-deg"], options["b2-deg"])
-    result = _build(experiments.run_chsh, cfg=cfg, angles_deg=angles, tau_si=options["tau-si-s"])
+    result = experiments.run_chsh(cfg, angles, tau_si=options["tau-si-s"])
     _deliver(result.table, options)
     print(f"S = {format(result.s_analytic, '.17g')}")
     if result.s_mc is not None:
@@ -280,23 +272,18 @@ def _cmd_chsh(options: dict) -> int:
 
 def _cmd_events_generate(options: dict) -> int:
     if options["out"] is None:
-        raise CliError("events-generate needs --out")
+        raise ValueError("events-generate needs --out")
     if options["pairs"] <= 0:
-        raise CliError("events-generate needs --pairs above 0")
+        raise ValueError("events-generate needs --pairs above 0")
     grid = _parse_grid(options["grid"])
-    src = _build(
-        SourceConfig,
-        mu=options["mu"],
-        rate=options["rate"],
-        delta_big=options["delta-hz"],
-        grid=grid,
-        seed=options["seed"],
+    src = SourceConfig(
+        mu=options["mu"], rate=options["rate"], delta_big=options["delta-hz"], grid=grid, seed=options["seed"]
     )
     batch = sample_n_pairs(src, options["pairs"])
     eraser = None
     if options["xi-deg"] is not None or options["theta-deg"] is not None:
         eraser = _eraser(options, default_xi=0.0, default_theta=0.0)
-    cs = _build(CoincidenceSetting.for_bandwidth, delta_big=src.delta_big, tau_si=options["tau-si-s"])
+    cs = CoincidenceSetting.for_bandwidth(src.delta_big, tau_si=options["tau-si-s"])
     stream = eventstream.synthesize_stream(
         batch, eraser=eraser, coincidence=cs, jitter=bool(options["jitter"]),
         seed=np.random.SeedSequence(options["seed"]).spawn(1)[0],
@@ -312,20 +299,17 @@ def _cmd_events_generate(options: dict) -> int:
 
 def _cmd_events_match(options: dict) -> int:
     if options["in"] is None:
-        raise CliError("events-match needs --in")
+        raise ValueError("events-match needs --in")
     data = FsPath(options["in"]).read_bytes()
     try:
         stream = eventstream.decode_stream(data)
     except eventstream.StreamFormatError as exc:
-        raise CliError(f"{options['in']}: {exc}") from exc
-    coincidences = _build(eventstream.match_coincidences, stream=stream, window_ps=options["window-ps"])
+        raise ValueError(f"{options['in']}: {exc}") from exc
+    coincidences = eventstream.match_coincidences(stream, options["window-ps"])
     accepted = coincidences[coincidences["accepted"]]
     hist = None
     if options["hist-out"] is not None:  # before any output, so bad bins write nothing
-        hist = _build(
-            eventstream.histogram_tau_si, coincidences=accepted, bin_ps=options["bin-ps"],
-            range_ps=options["range-ps"],
-        )
+        hist = eventstream.histogram_tau_si(accepted, options["bin-ps"], options["range-ps"])
     print(
         f"{len(stream)} records, {len(coincidences)} candidates, {len(accepted)} accepted coincidences"
     )
@@ -358,10 +342,15 @@ SUBCOMMANDS = {
 }
 
 
-def run(invocation: CliInvocation) -> int:
-    _, handler = SUBCOMMANDS[invocation.subcommand]
+def main(argv=None) -> int:
+    """Run one subcommand; a value the run cannot use ends it with exit 2."""
     try:
+        invocation = parse_args(argv)
+        _, handler = SUBCOMMANDS[invocation.subcommand]
         return handler(invocation.options)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except SelfCheckError as exc:
         print(f"self-check failed: {exc}", file=sys.stderr)
         return 1
@@ -369,19 +358,6 @@ def run(invocation: CliInvocation) -> int:
         where = "" if exc.filename is None else f" on {exc.filename}"
         print(f"i/o error{where}: {exc.strerror or exc}", file=sys.stderr)
         return 1
-
-
-def main(argv=None) -> int:
-    try:
-        invocation = parse_args(argv)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return run(invocation)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -48,11 +48,10 @@ from .detection import (
 )
 from .experiments import Table, emit_csv
 from .interferometer import EraserSetting
-from .source import PairBatch
+from .source import T_PS_LIMIT, PairBatch
 
 MAGIC = b"CESIMTT1"
 VERSION = 1
-T_PS_LIMIT = 2**63  # keeps every timestamp exact in the matcher's int64 arithmetic
 
 RECORD_DTYPE = np.dtype(
     [
@@ -67,7 +66,7 @@ RECORD_SIZE = RECORD_DTYPE.itemsize  # 16
 HEADER_SIZE = len(MAGIC) + 2  # 10
 
 
-class StreamFormatError(Exception):
+class StreamFormatError(ValueError):
     """Base class for time-tag serialization errors."""
 
 
@@ -513,10 +512,14 @@ def synthesize_stream(
     n = len(batch)
     t_emit = batch.t_emit_ps.astype(np.int64)
     delay_s = np.full(n, cs.tau_si)
-    if jitter:
-        delay_s = delay_s + rng.exponential(cs.tau_c / 2.0, n)
-    delay_ps = np.rint(delay_s * 1e12).astype(np.int64)
+    with np.errstate(over="ignore"):  # an overflow gives inf, which the check below rejects
+        if jitter:
+            delay_s = delay_s + rng.exponential(cs.tau_c / 2.0, n)
+        delay_ps = np.rint(delay_s * 1e12)
     del delay_s
+    if not delay_ps.max(initial=0.0) < T_PS_LIMIT:  # checked before the cast, which would wrap
+        raise TimestampRangeError("timestamp at or above 2**63 ps")
+    delay_ps = delay_ps.astype(np.int64)
 
     if eraser is None:
         table = click_table(None)

@@ -146,7 +146,7 @@ def mc_estimates(
     seeds = np.random.SeedSequence(seed).spawn(len(erasers) + 1)
     _, ref = sample_coincidence_counts(n_pairs, EraserSetting(0.0, 0.0), np.random.default_rng(seeds[0]))
     if ref == 0:
-        raise RuntimeError("reference run produced no accepted coincidences")
+        raise ValueError("reference run produced no accepted coincidences")
     v_ref = ref * (1.0 - ref / n_pairs)
 
     def one(eraser, seq):
@@ -277,6 +277,7 @@ def default_local_taus(delta_big: float, periods: float = 2.0, points_per_period
     """Delay sweep covering ``periods`` full fringes at delta_f = delta_big."""
     period = 1.0 / (2.0 * delta_big)
     n = int(periods * points_per_period)
+    _check_sweep_end(period * n)
     return period * np.arange(n + 1) / points_per_period
 
 
@@ -315,7 +316,15 @@ def run_local(
 
 def default_dephasing_taus(delta_big: float) -> np.ndarray:
     factors = np.array([0.0, 0.25, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0])
+    _check_sweep_end(float(factors[-1]) / delta_big)
     return factors / delta_big
+
+
+def _check_sweep_end(tau: float) -> None:
+    """Raise ValueError when a delay sweep's end, computed in Python floats
+    so that an overflow gives inf and no warning, is not finite."""
+    if not math.isfinite(tau):
+        raise ValueError("the delay sweep overflows: delta_big is too small")
 
 
 def run_dephasing(
@@ -412,7 +421,7 @@ def run_chsh(
             n_minus = counts[2] + counts[3]
             total = n_plus + n_minus
             if total == 0:
-                raise RuntimeError("no coincidences accumulated for a CHSH sub-setting")
+                raise ValueError("no coincidences accumulated for a CHSH sub-setting")
             e_mc.append((n_plus - n_minus) / total)
             var_e.append(4.0 * (n_minus**2 * n_plus + n_plus**2 * n_minus) / total**4)
         stochastic = {"e_mc": e_mc, "e_mc_err": [math.sqrt(v) for v in var_e]}

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+T_PS_LIMIT = 2**63  # keeps every timestamp exact in the matcher's int64 arithmetic
+
 
 def poisson_pair_probability(mu: float) -> float:
     """Probability that an emission window holds exactly two photons."""
@@ -43,8 +45,8 @@ class DetuningGrid:
         if not math.isfinite(self.step) or self.step <= 0:
             raise ValueError("a grid step must be positive")
         n = (self.hi - self.lo) / self.step
-        if abs(n - round(n)) > 1e-9:
-            raise ValueError("grid span must be an integer number of steps")
+        if not math.isfinite(n) or abs(n - round(n)) > 1e-9:
+            raise ValueError("grid span must be a finite integer number of steps")
 
     @classmethod
     def default_grid(cls, delta_big: float) -> "DetuningGrid":
@@ -84,6 +86,8 @@ class SourceConfig:
             raise ValueError("rate must be positive")
         if not math.isfinite(self.delta_big) or self.delta_big <= 0:
             raise ValueError("delta_big must be positive")
+        if self.pair_rate == 0:
+            raise ValueError("pair rate (rate times the two-photon probability of mu) must be positive")
 
     @property
     def pair_rate(self) -> float:
@@ -123,7 +127,10 @@ def sample_n_pairs(cfg: SourceConfig, n: int) -> PairBatch:
         raise ValueError("pair count must be non-negative")
     rng = np.random.default_rng(cfg.seed)
     gaps = rng.exponential(1.0 / cfg.pair_rate, n)
-    t_emit_s = np.cumsum(gaps)
+    with np.errstate(over="ignore"):  # an overflow gives inf, which the check below rejects
+        t_emit_ps = np.rint(np.cumsum(gaps) * 1e12)
+    if n and not t_emit_ps[-1] < T_PS_LIMIT:  # the last is the latest
+        raise ValueError("emission times reach 2**63 ps: too low a pair rate for this many pairs")
     delta_f = effective_grid(cfg.grid, cfg.delta_big).sample(rng, n)
     orientation = (rng.integers(0, 2, n, dtype=np.int8) * 2 - 1).astype(np.int8)
     route1 = rng.integers(1, 3, n, dtype=np.uint8)
@@ -138,5 +145,5 @@ def sample_n_pairs(cfg: SourceConfig, n: int) -> PairBatch:
         route2=route2,
         port1=port1,
         port2=port2,
-        t_emit_ps=np.rint(t_emit_s * 1e12).astype(np.uint64),
+        t_emit_ps=t_emit_ps.astype(np.uint64),
     )

@@ -6,6 +6,10 @@ from cesim.cli import OPTIONS, SUBCOMMANDS, CliInvocation, main, parse_args
 from cesim.eventstream import TagStream, decode_stream, encode_stream
 
 
+# a valid two-record stream: one D1 and one D2 click of one pair
+OK_STREAM = encode_stream(TagStream.from_fields([1000, 1400], [0, 1], [0b10, 0b11], [1, 1]))
+
+
 def run_cli(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
@@ -131,15 +135,21 @@ class TestParsing:
             ["events-match", "--in", "ok.bin", "--window-ps", "-1"],
             ["events-match", "--in", "ok.bin", "--hist-out", "h.csv", "--bin-ps", "0", "--out", "x.csv"],
             ["events-match", "--in", "ok.bin", "--hist-out", "h.csv", "--range-ps", "0"],
+            ["events-generate", "--pairs", "10", "--delta-hz", "1e308", "--out", "x.bin"],
+            ["events-generate", "--pairs", "10", "--tau-si-s", "1e300", "--out", "x.bin"],
+            ["events-generate", "--pairs", "1000", "--rate", "1e-6", "--out", "x.bin"],
+            ["events-generate", "--pairs", "10", "--mu", "1e-200", "--out", "x.bin"],
+            ["fig2b", "--mode", "mc", "--pairs", "1"],
+            ["chsh", "--mode", "mc", "--pairs", "1"],
+            ["fig2b", "--grid=0:1e300:1e-300"],
         ],
         ids=" ".join,
     )
     def test_bad_value_is_a_one_line_error(self, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "empty.bin").write_bytes(b"")
-        ok = encode_stream(TagStream.from_fields([1000, 1400], [0, 1], [0b10, 0b11], [1, 1]))
-        (tmp_path / "ok.bin").write_bytes(ok)
-        (tmp_path / "short.bin").write_bytes(ok[:-3])
+        (tmp_path / "ok.bin").write_bytes(OK_STREAM)
+        (tmp_path / "short.bin").write_bytes(OK_STREAM[:-3])
         code, _, err = run_cli(argv, capsys)
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -154,6 +164,34 @@ class TestParsing:
         code, _, err = run_cli(["fig2b"], capsys)
         assert code == 2
         assert "seed must be non-negative" in err
+
+
+# every subcommand but selftest with each value of each numeric option it takes
+_EXTREME = {float: ("0", "-1", "nan", "inf", "-inf", "1e-320", "1e308", "-1e308"), int: ("0", "-1", str(2**63))}
+_BASE_ARGV = {"events-generate": ["--pairs=10", "--out=x.bin"], "events-match": ["--in=ok.bin"]}
+_SWEEP = [
+    [name, f"--{opt.name}={value}"]
+    for name in SUBCOMMANDS
+    if name != "selftest"
+    for opt in OPTIONS
+    if opt.cast in _EXTREME and (not opt.subcommands or name in opt.subcommands)
+    for value in (("0", "-1", "1") if opt.name in ("pairs", "samples") else _EXTREME[opt.cast])
+]
+
+
+@pytest.mark.parametrize("argv", _SWEEP, ids=" ".join)
+def test_extreme_value_runs_or_is_a_one_line_error(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ok.bin").write_bytes(OK_STREAM)
+    name = argv[0]
+    base = [arg for arg in _BASE_ARGV.get(name, []) if arg.split("=")[0] != argv[1].split("=")[0]]
+    code, out, err = run_cli([*argv, *base], capsys)
+    assert code in (0, 2)
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ok.bin"]
+    else:
+        assert "nan" not in out.lower()
 
 
 def _sample_value(opt):
