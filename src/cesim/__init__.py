@@ -35,7 +35,6 @@ from .detection import (
     CoincidenceSetting,
     CorrelationEstimate,
     Outcome,
-    SelectionRule,
     heterodyne_product,
     selection_efficiency,
 )

@@ -1,11 +1,14 @@
 """Command-line entry point.
 
 Angles are accepted in degrees on the boundary and converted to radians
-internally.  Option precedence, lowest first: built-in defaults, the
-``CESIM_SEED`` environment variable (seed only), the ``--config`` file,
-explicit flags.  The config file is plain text, one ``key = value`` pair
-per line, ``#`` comments allowed; keys are the long option names without
-the leading dashes (for example ``xi-deg = 22.5``).
+internally.  A subcommand takes only the options ``OPTIONS`` names for
+it; any other flag is an argparse error (exit 2).  Option precedence,
+lowest first: built-in defaults, the ``CESIM_SEED`` environment variable
+(seed only), the ``--config`` file, explicit flags.  The config file is
+plain text, one ``key = value`` pair per line, ``#`` comments allowed;
+keys are the long option names without the leading dashes (for example
+``xi-deg = 22.5``).  Every key must name an option; a subcommand ignores
+the file's keys, and ``CESIM_SEED``, when it does not take the option.
 
 ``main`` is the one error boundary: a ``ValueError`` from parsing or from
 the library (a value the run cannot use) ends the run with one
@@ -42,46 +45,53 @@ def _truthy(text: str) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class Option:
-    """One long option.  ``cast`` reads its config-file value (a ``_truthy``
-    option is a bare flag on the command line); ``subcommands`` lists the
-    subcommands that take the flag, all of them when empty."""
+    """One long option, taken by exactly the ``subcommands`` that read it.
+    ``cast`` reads its config-file value (a ``_truthy`` option is a bare
+    flag on the command line)."""
 
     name: str
     cast: Callable[[str], object]
     default: object
+    subcommands: tuple[str, ...]
     help: str | None = None
-    subcommands: tuple[str, ...] = ()
     choices: tuple[str, ...] | None = None
     metavar: str | None = None
 
 
+TABLES = ("local", "fig2a", "fig2b", "dephasing", "chsh")  # the table runners
+GEN, MATCH = "events-generate", "events-match"
+
 OPTIONS = (
-    Option("xi-deg", float, None, "port A analyzer angle in degrees"),
-    Option("theta-deg", float, None, "port B analyzer angle in degrees"),
-    Option("tau-s", float, 3.0e-6, "arm delay in seconds"),
-    Option("tau-si-s", float, 0.0, "electronic inter-detector delay in seconds"),
-    Option("delta-hz", float, 1.0e6, "modulation bandwidth in Hz (default 1e6)"),
-    Option("grid", str, None, "detuning grid in Hz", metavar="LO:HI:STEP"),
-    Option("pairs", int, 200_000, "generated pairs per stochastic point"),
-    Option("seed", int, 20230730, "random seed"),
-    Option("mode", str, "analytic", choices=("analytic", "mc", "both")),
-    Option("window-ps", int, 1000, "coincidence window in ps"),
-    Option("out", str, None, "output file path"),
-    Option("format", str, "csv", choices=("csv",)),
-    Option("raw", _truthy, False, "report raw squared amplitudes instead of peak-normalized values"),
-    Option("samples", int, 100_000, "detuning samples for the average", ("dephasing",)),
-    Option("a-deg", float, 0.0, subcommands=("chsh",)),
-    Option("a2-deg", float, 45.0, subcommands=("chsh",)),
-    Option("b-deg", float, -22.5, subcommands=("chsh",)),
-    Option("b2-deg", float, -67.5, subcommands=("chsh",)),
-    Option("mu", float, 0.1, "mean photon number per window", ("events-generate",)),
-    Option("rate", float, 1.0e6, "emission attempts per second", ("events-generate",)),
-    Option("jitter", _truthy, False, "exponential inter-detector delay of scale tau_c/2",
-           ("events-generate",)),
-    Option("in", str, None, "input stream path", ("events-match",)),
-    Option("hist-out", str, None, "write the delay histogram CSV here", ("events-match",)),
-    Option("bin-ps", int, 50_000, subcommands=("events-match",)),
-    Option("range-ps", int, 8_000_000, subcommands=("events-match",)),
+    Option("xi-deg", float, None, ("local", "correlation", "fig2a", "dephasing", GEN),
+           "port A analyzer angle in degrees"),
+    Option("theta-deg", float, None, ("local", "correlation", "fig2a", "fig2b", "dephasing", GEN),
+           "port B analyzer angle in degrees"),
+    Option("tau-s", float, 3.0e-6, ("correlation", "fig2a", "fig2b", "chsh"), "arm delay in seconds"),
+    Option("tau-si-s", float, 0.0, ("correlation", "chsh", GEN),
+           "electronic inter-detector delay in seconds"),
+    Option("delta-hz", float, 1.0e6, ("local", "correlation", "fig2a", "fig2b", "dephasing", "chsh", GEN),
+           "modulation bandwidth in Hz (default 1e6)"),
+    Option("grid", str, None, ("fig2a", "fig2b"), "detuning grid in Hz", metavar="LO:HI:STEP"),
+    # dephasing does not read --pairs; the tables_mc workload of perfbench passes it
+    Option("pairs", int, 200_000, (*TABLES, GEN), "generated pairs per stochastic point"),
+    Option("seed", int, 20230730, (*TABLES, GEN, "selftest"), "random seed"),
+    Option("mode", str, "analytic", TABLES, choices=("analytic", "mc", "both")),
+    Option("window-ps", int, 1000, (MATCH,), "coincidence window in ps"),
+    Option("out", str, None, (*TABLES, GEN, MATCH), "output file path"),
+    Option("raw", _truthy, False, ("correlation", "fig2a", "fig2b"),
+           "report raw squared amplitudes instead of peak-normalized values"),
+    Option("samples", int, 100_000, ("dephasing",), "detuning samples for the average"),
+    Option("a-deg", float, 0.0, ("chsh",)),
+    Option("a2-deg", float, 45.0, ("chsh",)),
+    Option("b-deg", float, -22.5, ("chsh",)),
+    Option("b2-deg", float, -67.5, ("chsh",)),
+    Option("mu", float, 0.1, (GEN,), "mean photon number per window"),
+    Option("rate", float, 1.0e6, (GEN,), "emission attempts per second"),
+    Option("jitter", _truthy, False, (GEN,), "exponential inter-detector delay of scale tau_c/2"),
+    Option("in", str, None, (MATCH,), "input stream path"),
+    Option("hist-out", str, None, (MATCH,), "write the delay histogram CSV here"),
+    Option("bin-ps", int, 50_000, (MATCH,)),
+    Option("range-ps", int, 8_000_000, (MATCH,)),
 )
 _BY_NAME = {opt.name: opt for opt in OPTIONS}
 
@@ -103,17 +113,20 @@ def _add_flag(parser: argparse.ArgumentParser, opt: Option) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cesim",
+        allow_abbrev=False,
         description="Interferometric polarization-path correlation simulator",
         epilog="Config file: one 'key = value' per line, '#' comments; keys are long "
-        "option names without dashes prefix, e.g. 'xi-deg = 22.5'. Flags override "
-        "the file; the CESIM_SEED environment variable seeds runs at lowest precedence.",
+        "option names without dashes prefix, e.g. 'xi-deg = 22.5'; a subcommand uses the "
+        "keys it takes. Flags override the file; the CESIM_SEED environment variable seeds "
+        "the subcommands that take --seed at lowest precedence.",
     )
     parser.add_argument("--config", default=None, help="key=value option file")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (text, _) in SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=text)
+        # no abbreviations: --tau-s must not become --tau-si-s where only that is taken
+        p = sub.add_parser(name, help=text, allow_abbrev=False)
         for opt in OPTIONS:
-            if not opt.subcommands or name in opt.subcommands:
+            if name in opt.subcommands:
                 _add_flag(p, opt)
     return parser
 
@@ -153,25 +166,26 @@ def _join_grid_value(argv: list[str]) -> list[str]:
 
 
 def parse_args(argv=None) -> CliInvocation:
+    """The subcommand and the values of exactly the options it takes."""
     parser = build_parser()
     ns = parser.parse_args(_join_grid_value(sys.argv[1:] if argv is None else argv))
     cli_values = vars(ns)
     subcommand = cli_values.pop("subcommand")
     config_path = cli_values.pop("config", None)
 
-    options = {opt.name: opt.default for opt in OPTIONS}
+    options = {opt.name: opt.default for opt in OPTIONS if subcommand in opt.subcommands}
     env_seed = os.environ.get(ENV_SEED)
-    if env_seed is not None:
+    if env_seed is not None and "seed" in options:
         try:
             options["seed"] = int(env_seed)
         except ValueError as exc:
             raise ValueError(f"{ENV_SEED} must be an integer, got {env_seed!r}") from exc
     if config_path is not None:
-        options.update(_read_config(config_path))
+        options.update((key, value) for key, value in _read_config(config_path).items() if key in options)
     for key, value in cli_values.items():
         if value is not None:
             options[key.replace("_", "-")] = value
-    if options["seed"] < 0:
+    if options.get("seed", 0) < 0:
         raise ValueError(f"seed must be non-negative, got {options['seed']}")
     return CliInvocation(subcommand, options)
 
@@ -189,16 +203,17 @@ def _parse_grid(text: str | None) -> DetuningGrid | None:
     return DetuningGrid(lo, hi, step)
 
 
+# option: (the ExperimentConfig field it sets, how its value is read)
+_CONFIG_FIELDS = {"delta-hz": ("delta_big", float), "grid": ("grid", _parse_grid), "tau-s": ("tau", float),
+                  "pairs": ("n_pairs", int), "seed": ("seed", int), "mode": ("mode", RunMode),
+                  "raw": ("raw_values", bool)}
+
+
 def _experiment_config(options: dict) -> ExperimentConfig:
-    return ExperimentConfig(
-        delta_big=options["delta-hz"],
-        grid=_parse_grid(options["grid"]),
-        tau=options["tau-s"],
-        n_pairs=options["pairs"],
-        seed=options["seed"],
-        mode=RunMode(options["mode"]),
-        raw_values=bool(options["raw"]),
-    )
+    """The runner settings the subcommand takes; a field it does not take
+    keeps its default, which its runner does not read."""
+    taken = {key: spec for key, spec in _CONFIG_FIELDS.items() if key in options}
+    return ExperimentConfig(**{field: read(options[key]) for key, (field, read) in taken.items()})
 
 
 def _eraser(options: dict, default_xi=45.0, default_theta=45.0) -> EraserSetting:
@@ -275,9 +290,8 @@ def _cmd_events_generate(options: dict) -> int:
         raise ValueError("events-generate needs --out")
     if options["pairs"] <= 0:
         raise ValueError("events-generate needs --pairs above 0")
-    grid = _parse_grid(options["grid"])
     src = SourceConfig(
-        mu=options["mu"], rate=options["rate"], delta_big=options["delta-hz"], grid=grid, seed=options["seed"]
+        mu=options["mu"], rate=options["rate"], delta_big=options["delta-hz"], seed=options["seed"]
     )
     batch = sample_n_pairs(src, options["pairs"])
     eraser = None

@@ -87,31 +87,11 @@ def _born(*orderings) -> float:
     return (re * re + im * im) / (1 << 2 * top)
 
 
-@dataclass(frozen=True)
-class SelectionRule:
-    """Accept table over the detected tags of a cross-port pair.
-
-    Bit ``4 * tag_d1 + tag_d2`` of ``mask`` is set when a pair with those
-    D1 (port A) and D2 (port B) tags is kept.
-    """
-
-    mask: int
-
-    def __post_init__(self):
-        if not 0 <= self.mask <= 0xFFFF:
-            raise ValueError("selection mask must fit in 16 bits")
-
-    def accepts(self, tag_d1: int, tag_d2: int) -> bool:
-        return bool(self.mask >> (4 * tag_d1 + tag_d2) & 1)
-
-    @classmethod
-    def heterodyne(cls) -> "SelectionRule":
-        """Same polarization at opposite branches.  Across the two ports a
-        shared polarization means opposite arms of origin."""
-        return cls(sum(1 << (4 * tag + (tag ^ FLAG_BRANCH_PLUS)) for tag in range(4)))
-
-
-_HETERODYNE = SelectionRule.heterodyne()
+# The selection rule: entry 4 * tag_d1 + tag_d2 keeps a cross-port pair
+# with those D1 (port A) and D2 (port B) tags when they share a polarization
+# (across the ports, opposite arms) at opposite branches.  Read at call time
+# by heterodyne_product, selection_efficiency and match_coincidences.
+HETERODYNE_ACCEPT = tuple((key >> 2) ^ (key & TAG_BITS) == FLAG_BRANCH_PLUS for key in range(16))
 
 
 @dataclass(frozen=True, slots=True)
@@ -160,7 +140,7 @@ class CorrelationEstimate:
             raise ValueError("normalized rate is inconsistent with the range [0, 1]")
 
 
-def heterodyne_product(e_s: Field, e_i: Field, rule: SelectionRule | None = None) -> complex:
+def heterodyne_product(e_s: Field, e_i: Field) -> complex:
     """Coherent sum of the rule-accepted terms of the two-port product.
 
     ``e_s`` is the port A (D1) field and ``e_i`` the port B (D2) field; the
@@ -170,13 +150,14 @@ def heterodyne_product(e_s: Field, e_i: Field, rule: SelectionRule | None = None
     """
     if not all(isinstance(f, tuple) and len(f) == N_SLOTS for f in (e_s, e_i)):
         raise TypeError("heterodyne_product needs two 8-slot fields")
-    rule = rule or _HETERODYNE
+    accept = HETERODYNE_ACCEPT
     terms_b = [(k & TAG_BITS, amp) for k, amp in enumerate(e_i) if amp]
     total = 0j
     for k, amp_a in enumerate(e_s):
         if amp_a:
+            row = (k & TAG_BITS) << 2
             for tag_b, amp_b in terms_b:
-                if rule.accepts(k & TAG_BITS, tag_b):
+                if accept[row | tag_b]:
                     total += amp_a * amp_b
     return total
 
@@ -284,14 +265,13 @@ def bare_state(route1, route2, port1, port2, sign):
     return 2 * (2 * route1 + route2 - 3 + 4 * port1 + 8 * port2) + (sign > 0)
 
 
-def selection_efficiency(batch: PairBatch, rule: SelectionRule | None = None) -> float:
+def selection_efficiency(batch: PairBatch) -> float:
     """Fraction of generated pairs in the rule-accepted class, before any
     analyzer: both photons click, on different detectors, with D1 and D2
     tags the rule keeps.  With the heterodyne rule the expectation is 1/4:
     half of the pairs split across the arms and half of those exit
     distinct ports.
     """
-    rule = rule or _HETERODYNE
     states = bare_state(batch.route1, batch.route2, batch.port1, batch.port2, batch.orientation_sign)
     counts = np.bincount(states, minlength=32)
     n = int(counts.sum())
@@ -300,7 +280,7 @@ def selection_efficiency(batch: PairBatch, rule: SelectionRule | None = None) ->
     accept = np.zeros(32, dtype=bool)
     for state, slots in enumerate(click_table(None)[["channel", "tag"]].reshape(32, 2).tolist()):
         (channel1, tag1), (channel2, tag2) = sorted(slots)  # D1 first when the channels differ
-        accept[state] = channel1 != channel2 and rule.accepts(tag1, tag2)
+        accept[state] = channel1 != channel2 and HETERODYNE_ACCEPT[4 * tag1 + tag2]
     return int(counts[accept].sum()) / n
 
 

@@ -36,12 +36,12 @@ from pathlib import Path as FsPath
 
 import numpy as np
 
+from . import detection
 from .detection import (
     FLAG_BRANCH_PLUS,
     FLAG_POL_V,
     TAG_BITS,
     CoincidenceSetting,
-    SelectionRule,
     bare_state,
     class_table,
     click_table,
@@ -195,15 +195,13 @@ def _reject_reason(key: int) -> int:
         return REJECT_REASONS.index("cross-polarization")
     if not differ & FLAG_BRANCH_PLUS:
         return REJECT_REASONS.index("same-detuning")
-    return REJECT_REASONS.index("none")  # a custom rule rejected a tag-compatible pair
+    return REJECT_REASONS.index("none")  # tag-compatible: only an edited accept table rejects it
 
 
 _REJECT_REASON_CODES = np.array([_reject_reason(key) for key in range(16)], dtype=np.uint8)
 
 
-def match_coincidences(
-    stream: TagStream, window_ps: int, rule: SelectionRule | None = None
-) -> np.ndarray:
+def match_coincidences(stream: TagStream, window_ps: int) -> np.ndarray:
     """Single pass over the two detector channels.
 
     Every D1 click is paired with its nearest unconsumed D2 click, ties
@@ -217,8 +215,7 @@ def match_coincidences(
     """
     if window_ps < 0:
         raise ValueError("window must be non-negative")
-    rule = rule or SelectionRule.heterodyne()
-    accept = np.array([rule.accepts(key >> 2, key & TAG_BITS) for key in range(16)])
+    accept = np.array(detection.HETERODYNE_ACCEPT)
 
     arr = stream.array
     is_d2 = arr["channel"].astype(bool)  # a valid channel is 0 or 1
@@ -448,11 +445,15 @@ class TauHistogram:
         return 0.5 * (self.bin_lo_ps + self.bin_hi_ps)
 
 
+MAX_HIST_BINS = 2**20
+
+
 def histogram_tau_si(coincidences: np.ndarray, bin_ps: float, range_ps: float) -> TauHistogram:
     """Histogram of the inter-detector delays of accepted coincidences.
 
     Bins are centered on zero so a delta-distributed delay lands entirely
-    in the central bin; delays beyond +-range_ps are dropped.
+    in the central bin; delays beyond +-range_ps are dropped.  A range
+    that needs more than ``MAX_HIST_BINS`` bins raises ValueError.
     """
     if bin_ps <= 0 or not math.isfinite(bin_ps):
         raise ValueError("bin width must be positive")
@@ -460,8 +461,10 @@ def histogram_tau_si(coincidences: np.ndarray, bin_ps: float, range_ps: float) -
         raise ValueError("histogram range must be positive")
     if not np.all(coincidences["accepted"]):
         raise ValueError("histogram expects accepted coincidences only")
-    n_side = int(math.ceil(range_ps / bin_ps))
+    n_side = math.ceil(min(range_ps / bin_ps, MAX_HIST_BINS))  # the ratio may overflow to inf
     n_bins = 2 * n_side + 1
+    if n_bins > MAX_HIST_BINS:
+        raise ValueError(f"a {range_ps} ps range at {bin_ps} ps bins needs more than {MAX_HIST_BINS} bins")
     counts = np.zeros(n_bins, dtype=np.int64)
     if len(coincidences):
         taus = coincidences["tau_si_ps"].astype(np.float64)

@@ -173,11 +173,15 @@ def family_threshold(m: int) -> float:
 def _self_check(what: str, cells: Iterable[tuple[float, float, float]]) -> list[float]:
     """Each ``(analytic, stochastic, standard error)`` cell's discrepancy in
     standard errors; raises SelfCheckError, naming cells by their position
-    in ``cells``, when any exceeds the family-wise threshold of the count."""
+    in ``cells``, when any exceeds the family-wise threshold of the count,
+    and ValueError when a cell that differs has no standard error to
+    measure it in."""
     sigmas = []
-    for analytic, stochastic, err in cells:
+    for i, (analytic, stochastic, err) in enumerate(cells):
         diff = abs(stochastic - analytic)  # below 1e-12, the analytic roundoff scale, both paths agree
-        sigmas.append(0.0 if diff <= 1e-12 else diff / err if err else math.inf)
+        if diff > 1e-12 and not err:
+            raise ValueError(f"{what} cell {i} has a zero standard error: too few pairs")
+        sigmas.append(0.0 if diff <= 1e-12 else diff / err)
     z = family_threshold(len(sigmas)) if sigmas else math.inf
     bad = [f"cell {i} at {s:.2f}" for i, s in enumerate(sigmas) if s > z]
     if bad:
@@ -273,12 +277,12 @@ def run_fig2b(cfg: ExperimentConfig, theta_deg: float = 0.0,
     return _r_si_table(cfg, _columns(("xi_deg", "theta_deg", "xi_plus_theta_deg"), rows), analytic, erasers)
 
 
-def default_local_taus(delta_big: float, periods: float = 2.0, points_per_period: int = 40) -> np.ndarray:
-    """Delay sweep covering ``periods`` full fringes at delta_f = delta_big."""
+def default_local_taus(delta_big: float) -> np.ndarray:
+    """Delay sweep covering two full fringes at delta_f = delta_big, 40
+    points per fringe."""
     period = 1.0 / (2.0 * delta_big)
-    n = int(periods * points_per_period)
-    _check_sweep_end(period * n)
-    return period * np.arange(n + 1) / points_per_period
+    _check_sweep_end(period * 80)
+    return period * np.arange(81) / 40
 
 
 def run_local(
@@ -332,22 +336,20 @@ def run_dephasing(
     eraser: EraserSetting | None = None,
     taus: Sequence[float] | None = None,
     n_samples: int = 100_000,
-    law: DetuningGrid | None = None,
 ) -> Table:
     """Ensemble-averaged analyzer-passed intensities against the arm delay.
 
-    Detunings are drawn once from a uniform law spanning +-2 * delta_big
-    (configurable); as the delay grows the fringe washes out and both mean
-    intensities settle at half the analyzer-passed maximum, independent of
-    the analyzer angles.
+    Detunings are drawn once from a uniform law spanning +-2 * delta_big;
+    as the delay grows the fringe washes out and both mean intensities
+    settle at half the analyzer-passed maximum, independent of the
+    analyzer angles.
     """
     if n_samples < 1:
         raise ValueError(f"dephasing needs at least one sample, got {n_samples}")
     eraser = eraser if eraser is not None else EraserSetting(math.pi / 4, math.pi / 4)
     tau_values = np.asarray(taus if taus is not None else default_dephasing_taus(cfg.delta_big))
-    sample_law = law if law is not None else DetuningGrid(-2 * cfg.delta_big, 2 * cfg.delta_big)
     rng = np.random.default_rng(cfg.seed)
-    detunings = sample_law.sample(rng, n_samples)
+    detunings = DetuningGrid(-2 * cfg.delta_big, 2 * cfg.delta_big).sample(rng, n_samples)
 
     analytic = {"mean_i_s": [], "mean_i_i": []}
     stochastic = {"mean_i_s_mc": [], "mean_i_i_mc": []} if cfg.mode is not RunMode.ANALYTIC else {}

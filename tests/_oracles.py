@@ -19,12 +19,15 @@ the same bytes unless a uniform draw falls between the two thresholds.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+import pytest
 
+from cesim import detection
 from cesim.detection import FLAG_POL_V, CoincidenceSetting, Outcome, class_table, mode_tag
 from cesim.eventstream import TagStream, TimestampRangeError
 
@@ -95,6 +98,20 @@ RULE_PREDICATES = {
 RULE_MASKS = {"heterodyne": 0x4812, "inverted": 0xB7ED, "cross_port_only": 0xFFFF}
 
 
+def accept_table(mask: int) -> tuple[bool, ...]:
+    """A 16-bit accept mask as the 16-entry table over 4 * tag_d1 + tag_d2."""
+    return tuple(bool(mask >> key & 1) for key in range(16))
+
+
+@contextlib.contextmanager
+def selection_rule(name: str):
+    """Run the package under the rule ``RULE_MASKS[name]``: its functions
+    read ``detection.HETERODYNE_ACCEPT`` at call time."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(detection, "HETERODYNE_ACCEPT", accept_table(RULE_MASKS[name]))
+        yield
+
+
 def reject_reason(tag_a, tag_b) -> str:
     """Reason a rule gives for rejecting an in-window D1/D2 candidate."""
     if tag_a[1] != tag_b[1]:
@@ -154,11 +171,11 @@ class CoincidenceRecord:
     pair_id_2: int
 
 
-def reference_match(array, window_ps: int, accepts) -> list[CoincidenceRecord]:
+def reference_match(array, window_ps: int, accept) -> list[CoincidenceRecord]:
     """The straightforward nearest-free-D2 matcher, one record per candidate.
 
     ``array`` has the wire fields ``t_ps``, ``channel``, ``flags`` and
-    ``pair_id``; ``accepts(tag_d1, tag_d2)`` is the selection rule.  Each
+    ``pair_id``; ``accept[4 * tag_d1 + tag_d2]`` is the selection rule.  Each
     D1 click, in time order, walks outward over consumed D2 clicks to the
     nearest unconsumed one on each side, ties going to the earlier D2; an
     in-window candidate the rule accepts consumes its D2 click.  The walks
@@ -195,7 +212,7 @@ def reference_match(array, window_ps: int, accepts) -> list[CoincidenceRecord]:
         ids = int(d1["pair_id"][i]), int(d2["pair_id"][j])
         if abs(dt) > window_ps:
             out.append(CoincidenceRecord(ti, t2_list[j], dt, False, "out-of-window", *ids))
-        elif accepts(tag1, tag2):
+        elif accept[4 * tag1 + tag2]:
             used[j] = 1
             out.append(CoincidenceRecord(ti, t2_list[j], dt, True, "none", *ids))
         else:

@@ -1,9 +1,14 @@
 import math
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from cesim.cli import OPTIONS, SUBCOMMANDS, CliInvocation, main, parse_args
+from cesim.cli import OPTIONS, SUBCOMMANDS, TABLES, CliInvocation, build_parser, main, parse_args
 from cesim.eventstream import TagStream, decode_stream, encode_stream
+
+_BY_NAME = {opt.name: opt for opt in OPTIONS}
 
 
 # a valid two-record stream: one D1 and one D2 click of one pair
@@ -44,6 +49,23 @@ class TestParsing:
             parse_args(["fig2b", "--bogus", "1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+    def test_help_lists_only_the_options_taken(self, subcommand, capsys):
+        with pytest.raises(SystemExit):
+            parse_args([subcommand, "--help"])
+        listed = set(re.findall(r"--([a-z0-9-]+)", capsys.readouterr().out)) - {"help"}
+        assert listed == {opt.name for opt in OPTIONS if subcommand in opt.subcommands}
+
+    @pytest.mark.parametrize(
+        "argv", [["fig2b", "--format", "csv"], ["fig2b", "--xi-deg", "10"], ["events-generate", "--grid=0:1:1"],
+                 ["correlation", "--mode", "mc"], ["selftest", "--pairs", "10"]], ids=" ".join,
+    )
+    def test_option_not_taken_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_help_exits_0(self, capsys):
         for argv in (["--help"],) + tuple([name, "--help"] for name in (
             "local", "correlation", "fig2a", "fig2b", "dephasing", "chsh",
@@ -69,6 +91,29 @@ class TestParsing:
         assert parse_args(["fig2b"]).options["seed"] == 444
         assert parse_args(["fig2b", "--seed", "9"]).options["seed"] == 9
 
+    def test_config_shared_by_two_subcommands(self, tmp_path, capsys):
+        # raw only fig2b reads, samples only dephasing: each uses its own keys
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text("raw = yes\nsamples = 500\ntheta-deg = 10\n", encoding="utf-8")
+        fig2b = parse_args(["--config", str(cfg), "fig2b"]).options
+        dephasing = parse_args(["--config", str(cfg), "dephasing"]).options
+        assert (fig2b["raw"], fig2b["theta-deg"], "samples" in fig2b) == (True, 10.0, False)
+        assert (dephasing["samples"], dephasing["theta-deg"], "raw" in dephasing) == (500, 10.0, False)
+        for subcommand in ("fig2b", "dephasing"):
+            assert run_cli(["--config", str(cfg), subcommand], capsys)[0] == 0
+        cfg.write_text("raw = yes\nsamples = 500\nnonsense = 1\n", encoding="utf-8")
+        for subcommand in ("fig2b", "dephasing"):
+            code, _, err = run_cli(["--config", str(cfg), subcommand], capsys)
+            assert code == 2 and "unknown option 'nonsense'" in err
+
+    def test_env_seed_ignored_without_a_seed_option(self, monkeypatch, capsys):
+        # CESIM_SEED seeds only the subcommands that take --seed
+        reference = run_cli(["correlation", "--xi-deg", "10"], capsys)
+        monkeypatch.setenv("CESIM_SEED", "not-an-int")
+        assert "seed" not in parse_args(["correlation"]).options
+        assert run_cli(["correlation", "--xi-deg", "10"], capsys) == reference
+        assert run_cli(["fig2b"], capsys)[0] == 2
+
     def test_bad_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("nonsense = 1\n", encoding="utf-8")
@@ -76,7 +121,7 @@ class TestParsing:
         assert code == 2
         assert "unknown option" in err
 
-    @pytest.mark.parametrize("line", ["mode = foo", "format = tsv", "jitter = ture"])
+    @pytest.mark.parametrize("line", ["mode = foo", "jitter = ture"])
     def test_config_value_outside_choices(self, tmp_path, capsys, line):
         # the flag's choices hold for a config line too
         cfg = tmp_path / "bad.cfg"
@@ -135,6 +180,8 @@ class TestParsing:
             ["events-match", "--in", "ok.bin", "--window-ps", "-1"],
             ["events-match", "--in", "ok.bin", "--hist-out", "h.csv", "--bin-ps", "0", "--out", "x.csv"],
             ["events-match", "--in", "ok.bin", "--hist-out", "h.csv", "--range-ps", "0"],
+            ["events-match", "--in", "ok.bin", "--hist-out", "h.csv", "--bin-ps", "1", "--range-ps", "1000000000"],
+            ["fig2b", "--mode", "both", "--pairs", "3"],
             ["events-generate", "--pairs", "10", "--delta-hz", "1e308", "--out", "x.bin"],
             ["events-generate", "--pairs", "10", "--tau-si-s", "1e300", "--out", "x.bin"],
             ["events-generate", "--pairs", "1000", "--rate", "1e-6", "--out", "x.bin"],
@@ -166,25 +213,35 @@ class TestParsing:
         assert "seed must be non-negative" in err
 
 
-# every subcommand but selftest with each value of each numeric option it takes
+# every subcommand but selftest with each extreme value of each numeric option, taken or not
 _EXTREME = {float: ("0", "-1", "nan", "inf", "-inf", "1e-320", "1e308", "-1e308"), int: ("0", "-1", str(2**63))}
-_BASE_ARGV = {"events-generate": ["--pairs=10", "--out=x.bin"], "events-match": ["--in=ok.bin"]}
+_BASE_ARGV = {"events-generate": ["--pairs=10", "--out=x.bin"], "events-match": ["--in=ok.bin", "--hist-out=h.csv"]}
 _SWEEP = [
     [name, f"--{opt.name}={value}"]
     for name in SUBCOMMANDS
     if name != "selftest"
     for opt in OPTIONS
-    if opt.cast in _EXTREME and (not opt.subcommands or name in opt.subcommands)
+    if opt.cast in _EXTREME
     for value in (("0", "-1", "1") if opt.name in ("pairs", "samples") else _EXTREME[opt.cast])
 ]
 
 
 @pytest.mark.parametrize("argv", _SWEEP, ids=" ".join)
 def test_extreme_value_runs_or_is_a_one_line_error(argv, tmp_path, monkeypatch, capsys):
+    """A taken option runs or ends in one ``error:`` line; an option the
+    subcommand does not take is an argparse error.  Either error writes
+    nothing."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "ok.bin").write_bytes(OK_STREAM)
-    name = argv[0]
-    base = [arg for arg in _BASE_ARGV.get(name, []) if arg.split("=")[0] != argv[1].split("=")[0]]
+    name, flag = argv[0], argv[1].split("=")[0]
+    base = [arg for arg in _BASE_ARGV.get(name, []) if arg.split("=")[0] != flag]
+    if name not in _BY_NAME[flag[2:]].subcommands:
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, *base])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ok.bin"]
+        return
     code, out, err = run_cli([*argv, *base], capsys)
     assert code in (0, 2)
     if code == 2:
@@ -192,6 +249,115 @@ def test_extreme_value_runs_or_is_a_one_line_error(argv, tmp_path, monkeypatch, 
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ok.bin"]
     else:
         assert "nan" not in out.lower()
+
+
+# (subcommand, option) pairs whose value moves no output byte, and why
+_INERT = {
+    **{(name, "tau-s"): "the detuning phase cancels in the gated product (criterion 02)"
+       for name in ("correlation", "fig2a", "fig2b", "chsh")},
+    **{(name, "delta-hz"): "the detuning phase cancels in the gated product (criterion 02)"
+       for name in ("correlation", "fig2b", "chsh")},
+    ("selftest", "seed"): "the battery prints pass/fail lines only",
+    ("dephasing", "pairs"): "not read; the tables_mc workload of perfbench passes it",
+}
+_ACTS_BASE = {"dephasing": ["--samples=2000"], "events-generate": ["--pairs=2000", "--out=x.bin"],
+              "events-match": ["--in=run.bin"]}
+_MOVED = {"xi-deg": "10", "theta-deg": "10", "tau-si-s": "1e-7", "delta-hz": "2e6", "grid": "-1e6:1e6:1e6",
+          "pairs": "1000", "seed": "7", "mode": "mc", "window-ps": "10000000", "out": "moved.out",
+          "samples": "1000", "a-deg": "10", "a2-deg": "10", "b-deg": "10", "b2-deg": "10", "mu": "0.2",
+          "rate": "2e6", "in": "ok.bin", "hist-out": "h.csv", "bin-ps": "1000", "range-ps": "100000"}
+_ACTING = [pytest.param(name, opt.name, id=f"{name} --{opt.name}")
+           for opt in OPTIONS for name in opt.subcommands if (name, opt.name) not in _INERT]
+
+
+def _alongside(name, option):
+    """The options that ``option`` acts only next to."""
+    if name == "events-generate" and option == "delta-hz":
+        return ["--jitter"]  # the bandwidth sets the jitter's scale
+    if name == "events-match" and option in ("bin-ps", "range-ps"):
+        return ["--hist-out=h.csv"]
+    if name in TABLES and option in ("pairs", "seed"):
+        return ["--mode=mc", "--pairs=2000"]  # the analytic path draws nothing
+    if name in TABLES and option == "mode":
+        return ["--pairs=2000"]
+    return []
+
+
+@pytest.fixture(scope="module")
+def jitter_stream(tmp_path_factory):
+    path = tmp_path_factory.mktemp("stream") / "run.bin"
+    assert main(["events-generate", "--pairs=2000", "--jitter", f"--out={path}"]) == 0
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("name, option", _ACTING)
+def test_every_taken_option_acts(name, option, jitter_stream, tmp_path, monkeypatch, capsys):
+    """Each taken option, set away from its default, moves a byte of the
+    output (stdout and the files written), apart from the pairs in
+    ``_INERT``."""
+    monkeypatch.chdir(tmp_path)
+    inputs = {"run.bin": jitter_stream, "ok.bin": OK_STREAM}
+
+    def output(argv):
+        for file_name, data in inputs.items():
+            (tmp_path / file_name).write_bytes(data)
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0, err
+        written = {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.name not in inputs}
+        for path in tmp_path.iterdir():
+            path.unlink()
+        return out, written
+
+    base = [name, *_ACTS_BASE.get(name, []), *_alongside(name, option)]
+    value = _MOVED.get(option)
+    assert output(base) != output([*base, f"--{option}" if value is None else f"--{option}={value}"])
+
+
+@pytest.mark.parametrize("name", TABLES)
+def test_runner_settings_not_taken_do_not_act(name, capsys):
+    """A table runner reads no ExperimentConfig field its subcommand does
+    not take: handed one anyway, the output is the same."""
+    _, handler = SUBCOMMANDS[name]
+    argv = [name, *_ACTS_BASE.get(name, [])]
+    handler(parse_args(argv).options)
+    reference = capsys.readouterr().out
+    untaken = {"tau-s": 1e-7, "grid": "-1e6:1e6:1e6", "raw": True}
+    for key, value in untaken.items():
+        options = parse_args(argv).options
+        if key not in options:
+            handler({**options, key: value})
+            assert capsys.readouterr().out == reference, key
+
+
+def _readme_command_line():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+
+
+def _readme_examples():
+    """The ``cesim ...`` lines of README's command-line block."""
+    block = _readme_command_line().split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True) for line in block.splitlines() if line.startswith("cesim ")]
+
+
+def test_readme_option_table_is_the_option_table():
+    rows = [line.split("|")[1:-1] for line in _readme_command_line().splitlines() if line.startswith("| `--")]
+    header = next(line for line in _readme_command_line().splitlines() if line.startswith("| option |"))
+    names = [cell.strip(" `") for cell in header.split("|")[2:-1]]
+    documented = {
+        option: tuple(name for name, mark in zip(names, marks) if mark.strip())
+        for first, *marks in rows
+        for option in re.findall(r"`--([a-z0-9-]+)`", first)
+    }
+    assert documented == {opt.name: tuple(n for n in SUBCOMMANDS if n in opt.subcommands) for opt in OPTIONS}
+
+
+def test_readme_examples_parse():
+    examples = _readme_examples()
+    assert len(examples) >= 8
+    parser = build_parser()
+    for argv in examples:
+        parser.parse_args(argv[1:])  # exits 2 on an option the subcommand does not take
 
 
 def _sample_value(opt):
@@ -203,7 +369,7 @@ def _sample_value(opt):
 
 @pytest.mark.parametrize("opt", OPTIONS, ids=lambda opt: opt.name)
 def test_option_table_flag_and_config_agree(opt, tmp_path):
-    subcommand = opt.subcommands[0] if opt.subcommands else next(iter(SUBCOMMANDS))
+    subcommand = opt.subcommands[0]
     value = _sample_value(opt)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{opt.name} = {value if value is not None else 'true'}\n", encoding="utf-8")
@@ -212,8 +378,7 @@ def test_option_table_flag_and_config_agree(opt, tmp_path):
     from_config = parse_args(["--config", str(cfg), subcommand]).options[opt.name]
     assert from_flag == from_config
     assert type(from_flag) is type(from_config)
-    if opt.name != "format":  # csv is its only value
-        assert from_flag != opt.default
+    assert from_flag != opt.default
 
 
 class TestCommands:
@@ -379,6 +544,11 @@ class TestCommands:
         code, out, err = run_cli(["local", "--mode", "both"], capsys)
         assert code == 0, err
         assert out.splitlines()[0].endswith("i_i,i_a_mc,i_b_mc,i_s_mc,i_i_mc")
+
+    def test_fig2b_mode_both_passes_on_default_seed(self, capsys):
+        code, out, err = run_cli(["fig2b", "--mode", "both"], capsys)
+        assert code == 0, err
+        assert out.splitlines()[0].endswith("r_si_mc,r_si_mc_err,discrepancy_sigma")
 
     def test_mode_both_runs(self, tmp_path, capsys):
         out_path = tmp_path / "f.csv"

@@ -11,8 +11,8 @@ from cesim.detection import (
     FLAG_POL_V,
     CoincidenceSetting,
     CorrelationEstimate,
+    HETERODYNE_ACCEPT,
     Outcome,
-    SelectionRule,
     class_table,
     heterodyne_product,
     mode_tag,
@@ -27,6 +27,7 @@ from cesim.source import PairBatch, SourceConfig, sample_n_pairs
 from _oracles import (
     RULE_MASKS,
     RULE_PREDICATES,
+    accept_table,
     accepted_route_split,
     analyzer_transmission,
     correlation_r,
@@ -39,6 +40,7 @@ from _oracles import (
     photon_tag,
     reject_reason,
     same_pair_classes,
+    selection_rule,
     visibility,
 )
 
@@ -68,31 +70,33 @@ def make_batch(n, route1=1, route2=2, port1=0, port2=1):
 
 class TestSelectionRule:
     def test_heterodyne_accepts_matched_pairs(self):
-        rule = SelectionRule.heterodyne()
-        assert rule.accepts(V_PLUS, V_MINUS)  # arm 1 at D1, arm 2 at D2
-        assert rule.accepts(H_MINUS, H_PLUS)  # arm 2 at D1, arm 1 at D2
-        assert not rule.accepts(V_PLUS, H_PLUS)  # same arm, same branch
-        assert not rule.accepts(H_MINUS, V_MINUS)
-        assert not rule.accepts(V_PLUS, V_PLUS)  # same branch
+        def accepts(tag_d1, tag_d2):
+            return HETERODYNE_ACCEPT[4 * tag_d1 + tag_d2]
+
+        assert accepts(V_PLUS, V_MINUS)  # arm 1 at D1, arm 2 at D2
+        assert accepts(H_MINUS, H_PLUS)  # arm 2 at D1, arm 1 at D2
+        assert not accepts(V_PLUS, H_PLUS)  # same arm, same branch
+        assert not accepts(H_MINUS, V_MINUS)
+        assert not accepts(V_PLUS, V_PLUS)  # same branch
 
     def test_heterodyne_mask(self):
-        assert SelectionRule.heterodyne() == SelectionRule(RULE_MASKS["heterodyne"])
+        assert HETERODYNE_ACCEPT == accept_table(RULE_MASKS["heterodyne"])
 
     @pytest.mark.parametrize("name", sorted(RULE_PREDICATES))
     def test_accept_table_matches_label_predicate(self, name):
-        rule = SelectionRule(RULE_MASKS[name])
+        table = accept_table(RULE_MASKS[name])
         for tag_d1, tag_d2 in TAG_PAIRS:
             expected = RULE_PREDICATES[name](label_from_click(0, tag_d1), label_from_click(1, tag_d2))
-            assert rule.accepts(tag_d1, tag_d2) is expected, (tag_d1, tag_d2)
+            assert table[4 * tag_d1 + tag_d2] is expected, (tag_d1, tag_d2)
 
     @pytest.mark.parametrize("name", sorted(RULE_PREDICATES))
     def test_reject_reasons_match_label_oracle(self, name):
-        rule = SelectionRule(RULE_MASKS[name])
         # D1 and D2 click k, both at 1000 * k ps, carry the k-th tag pair
         t = np.repeat(1000 * np.arange(16), 2)
         flags = np.array(TAG_PAIRS).ravel()
         stream = TagStream.from_fields(t, np.tile([0, 1], 16), flags, t // 1000)
-        out = match_coincidences(stream, 10, rule)
+        with selection_rule(name):
+            out = match_coincidences(stream, 10)
         assert len(out) == 16
         for row, (tag_d1, tag_d2) in zip(out, TAG_PAIRS):
             label_d1, label_d2 = label_from_click(0, tag_d1), label_from_click(1, tag_d2)
@@ -142,7 +146,8 @@ class TestHeterodyneProduct:
             theta = float(rng.uniform(0.2, 1.2))
             setting = PairSetting(1.3e6, tau=float(rng.uniform(0, 1e-5)))
             e_s, e_i = eraser_amplitudes(setting, EraserSetting(xi, theta))
-            product = heterodyne_product(e_s, e_i, SelectionRule(RULE_MASKS["inverted"]))
+            with selection_rule("inverted"):
+                product = heterodyne_product(e_s, e_i)
             phi = setting.phase
             # hand expansion of the two rejected monomials
             expected = 0.25j * (
@@ -334,7 +339,8 @@ class TestSelectionEfficiency:
 
     def test_gating_disabled_half(self):
         batch = sample_n_pairs(SourceConfig(seed=22), 100_000)
-        eff = selection_efficiency(batch, SelectionRule(RULE_MASKS["cross_port_only"]))
+        with selection_rule("cross_port_only"):
+            eff = selection_efficiency(batch)
         assert abs(eff - 0.5) < 0.005
 
     def test_same_path_only_zero(self):
@@ -347,7 +353,6 @@ class TestSelectionEfficiency:
     @pytest.mark.parametrize("name", sorted(RULE_PREDICATES))
     def test_every_rule_matches_per_pair_oracle(self, name):
         batch = sample_n_pairs(SourceConfig(seed=24), 4_000)
-        rule = SelectionRule(RULE_MASKS[name])
         accepted = sum(
             pair_accepted(
                 int(batch.route1[i]), int(batch.route2[i]), int(batch.port1[i]), int(batch.port2[i]),
@@ -355,7 +360,8 @@ class TestSelectionEfficiency:
             )
             for i in range(len(batch))
         )
-        assert selection_efficiency(batch, rule) == accepted / len(batch)
+        with selection_rule(name):
+            assert selection_efficiency(batch) == accepted / len(batch)
 
     def test_event_level_sampler_matches_law(self):
         rng = np.random.default_rng(31)

@@ -11,11 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cesim.detection import CoincidenceSetting, SelectionRule, mode_tag, selection_efficiency
+from cesim.detection import CoincidenceSetting, mode_tag, selection_efficiency
 from cesim.eventstream import (
     COINCIDENCE_DTYPE,
     HEADER_SIZE,
     MAGIC,
+    MAX_HIST_BINS,
     RECORD_DTYPE,
     RECORD_SIZE,
     REJECT_REASONS,
@@ -39,7 +40,15 @@ from cesim.eventstream import (
 from cesim.interferometer import EraserSetting
 from cesim.source import PairBatch, SourceConfig, sample_n_pairs
 
-from _oracles import RULE_MASKS, label_from_click, photon_label, reference_synthesize, reference_match
+from _oracles import (
+    RULE_MASKS,
+    accept_table,
+    label_from_click,
+    photon_label,
+    reference_match,
+    reference_synthesize,
+    selection_rule,
+)
 
 V_PLUS = 0b11   # V polarization, positive branch
 V_MINUS = 0b10
@@ -367,9 +376,9 @@ class TestMatcher:
         # few distinct timestamps: many ties on both channels; the stable
         # sort keeps the drawn order among equal timestamps
         stream = make_stream(sorted(rows, key=lambda row: row[0]))
-        rule = SelectionRule(RULE_MASKS[rule_name])
-        expected = reference_match(stream.array, window_ps, rule.accepts)
-        got = match_coincidences(stream, window_ps, rule)
+        expected = reference_match(stream.array, window_ps, accept_table(RULE_MASKS[rule_name]))
+        with selection_rule(rule_name):
+            got = match_coincidences(stream, window_ps)
         assert coincidence_rows(got) == [dataclasses.astuple(rec) for rec in expected]
 
     def test_deviator_takes_a_later_runs_nearest(self):
@@ -395,7 +404,7 @@ class TestMatcher:
             (3, 4, 1, True, "none", 3, 3),
             (4, 10, 6, True, "none", 4, 4),
         ]
-        expected = reference_match(stream.array, 100, SelectionRule.heterodyne().accepts)
+        expected = reference_match(stream.array, 100, accept_table(RULE_MASKS["heterodyne"]))
         assert got == [dataclasses.astuple(rec) for rec in expected]
 
     @settings(max_examples=150, deadline=None)
@@ -416,9 +425,9 @@ class TestMatcher:
         # long runs of clicks with one nearest D2: most clicks deviate, and
         # deviators take the nearest D2 of later runs
         stream = make_stream(sorted(rows, key=lambda row: row[0]))
-        rule = SelectionRule(RULE_MASKS[rule_name])
-        expected = reference_match(stream.array, window_ps, rule.accepts)
-        got = match_coincidences(stream, window_ps, rule)
+        expected = reference_match(stream.array, window_ps, accept_table(RULE_MASKS[rule_name]))
+        with selection_rule(rule_name):
+            got = match_coincidences(stream, window_ps)
         assert coincidence_rows(got) == [dataclasses.astuple(rec) for rec in expected]
 
 
@@ -562,6 +571,14 @@ class TestHistogram:
         with pytest.raises(ValueError):
             histogram_tau_si(none, 10, 0)
 
+    def test_bin_count_is_bounded(self):
+        none = accepted_coincidences(0)
+        n_side = (MAX_HIST_BINS - 1) // 2
+        assert len(histogram_tau_si(none, 1, n_side).counts) == 2 * n_side + 1 <= MAX_HIST_BINS
+        for bin_ps, range_ps in ((1, n_side + 1), (1, 10**9), (1e-300, 1e308)):  # the last ratio is inf
+            with pytest.raises(ValueError, match="needs more than"):
+                histogram_tau_si(none, bin_ps, range_ps)
+
     def test_rejects_unaccepted_records(self):
         rejected = accepted_coincidences(1)
         rejected["accepted"] = False
@@ -660,27 +677,27 @@ class TestPerformance:
                 np.concatenate([t1, t2])[order], np.repeat([0, 1], n)[order], 0, 0
             )
 
-        rule = SelectionRule(RULE_MASKS["cross_port_only"])
-        assert np.all(match_coincidences(stream_of(2_000), 10**12, rule)["accepted"])  # and warm-up
-        streams = {n: stream_of(n) for n in (5_000, 20_000)}
-        # Each round times 20k clicks per size (four calls on the small
-        # stream) back to back, so host noise mostly hits both sides of one
-        # round's ratio, and the median drops the rounds it does not; the
-        # replay's union-find dicts hold a slot per click, so a collection
-        # pass inside a timed interval would be charged to one size.
-        ratios = []
-        for _ in range(9):
-            per_call = {}
-            for n, stream in streams.items():
-                calls = 20_000 // n
-                gc.disable()
-                try:
-                    t0 = time.perf_counter()
-                    for _ in range(calls):
-                        match_coincidences(stream, 10**12, rule)
-                    per_call[n] = (time.perf_counter() - t0) / calls
-                finally:
-                    gc.enable()
-            ratios.append(per_call[20_000] / per_call[5_000])
+        with selection_rule("cross_port_only"):  # every pair is accepted
+            assert np.all(match_coincidences(stream_of(2_000), 10**12)["accepted"])  # and warm-up
+            streams = {n: stream_of(n) for n in (5_000, 20_000)}
+            # Each round times 20k clicks per size (four calls on the small
+            # stream) back to back, so host noise mostly hits both sides of one
+            # round's ratio, and the median drops the rounds it does not; the
+            # replay's union-find dicts hold a slot per click, so a collection
+            # pass inside a timed interval would be charged to one size.
+            ratios = []
+            for _ in range(9):
+                per_call = {}
+                for n, stream in streams.items():
+                    calls = 20_000 // n
+                    gc.disable()
+                    try:
+                        t0 = time.perf_counter()
+                        for _ in range(calls):
+                            match_coincidences(stream, 10**12)
+                        per_call[n] = (time.perf_counter() - t0) / calls
+                    finally:
+                        gc.enable()
+                ratios.append(per_call[20_000] / per_call[5_000])
         # linear is 4x, quadratic 16x
         assert statistics.median(ratios) < 4.0 * 1.5

@@ -256,8 +256,9 @@ class TestSelfCheck:
         assert _self_check("unit", []) == []
 
     def test_zero_error_with_a_difference_fails(self):
-        with pytest.raises(SelfCheckError, match="1 of 1 unit cell"):
-            _self_check("unit", [(0.5, 0.6, 0.0)])
+        # no spread to measure the difference in: a value the run cannot use
+        with pytest.raises(ValueError, match="unit cell 1 has a zero standard error: too few pairs"):
+            _self_check("unit", [(0.5, 0.5, 0.0), (0.5, 0.6, 0.0)])
 
     def test_message_names_every_bad_cell_and_the_threshold(self):
         cells = [(0.0, 0.05, 0.01), (0.0, 0.0, 0.01), (0.0, -0.1, 0.01)]
