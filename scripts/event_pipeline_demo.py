@@ -56,7 +56,7 @@ def main() -> int:
 
     if args.jitter:
         hist = histogram_tau_si(accepted, 50_000, 8_000_000)
-        decay = fit_decay_ps(hist, min_count=50)
+        decay = fit_decay_ps(hist)
         print(f"histogram decay {decay * 1e-6:.4f} us (generator scale {coincidence.tau_c / 2 * 1e6:.4f} us)")
         if args.hist_out:
             write_histogram_csv(hist, args.hist_out)

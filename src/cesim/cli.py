@@ -30,7 +30,7 @@ import numpy as np
 
 from . import eventstream, experiments
 from .detection import CoincidenceSetting, selection_efficiency
-from .experiments import ExperimentConfig, RunMode, SelfCheckError, Table, emit_csv
+from .experiments import CANONICAL_CHSH_DEG, ExperimentConfig, RunMode, SelfCheckError, Table, emit_csv
 from .interferometer import EraserSetting
 from .source import DetuningGrid, SourceConfig, sample_n_pairs
 
@@ -60,33 +60,33 @@ class Option:
 
 TABLES = ("local", "fig2a", "fig2b", "dephasing", "chsh")  # the table runners
 GEN, MATCH = "events-generate", "events-match"
+_RUN, _SRC = ExperimentConfig(), SourceConfig()  # the defaults the library declares
 
 OPTIONS = (
     Option("xi-deg", float, None, ("local", "correlation", "fig2a", "dephasing", GEN),
            "port A analyzer angle in degrees"),
     Option("theta-deg", float, None, ("local", "correlation", "fig2a", "fig2b", "dephasing", GEN),
            "port B analyzer angle in degrees"),
-    Option("tau-s", float, 3.0e-6, ("correlation", "fig2a", "fig2b", "chsh"), "arm delay in seconds"),
-    Option("tau-si-s", float, 0.0, ("correlation", "chsh", GEN),
+    Option("tau-s", float, _RUN.tau, ("correlation", "fig2a", "fig2b", "chsh"), "arm delay in seconds"),
+    Option("tau-si-s", float, CoincidenceSetting().tau_si, ("correlation", "chsh", GEN),
            "electronic inter-detector delay in seconds"),
-    Option("delta-hz", float, 1.0e6, ("local", "correlation", "fig2a", "fig2b", "dephasing", "chsh", GEN),
-           "modulation bandwidth in Hz (default 1e6)"),
+    Option("delta-hz", float, _RUN.delta_big,
+           ("local", "correlation", "fig2a", "fig2b", "dephasing", "chsh", GEN),
+           "modulation bandwidth in Hz"),
     Option("grid", str, None, ("fig2a", "fig2b"), "detuning grid in Hz", metavar="LO:HI:STEP"),
     # dephasing does not read --pairs; the tables_mc workload of perfbench passes it
-    Option("pairs", int, 200_000, (*TABLES, GEN), "generated pairs per stochastic point"),
-    Option("seed", int, 20230730, (*TABLES, GEN, "selftest"), "random seed"),
-    Option("mode", str, "analytic", TABLES, choices=("analytic", "mc", "both")),
+    Option("pairs", int, _RUN.n_pairs, (*TABLES, GEN), "generated pairs per stochastic point"),
+    Option("seed", int, _RUN.seed, (*TABLES, GEN, "selftest"), "random seed"),
+    Option("mode", str, _RUN.mode.value, TABLES, choices=("analytic", "mc", "both")),
     Option("window-ps", int, 1000, (MATCH,), "coincidence window in ps"),
     Option("out", str, None, (*TABLES, GEN, MATCH), "output file path"),
-    Option("raw", _truthy, False, ("correlation", "fig2a", "fig2b"),
+    Option("raw", _truthy, _RUN.raw_values, ("correlation", "fig2a", "fig2b"),
            "report raw squared amplitudes instead of peak-normalized values"),
     Option("samples", int, 100_000, ("dephasing",), "detuning samples for the average"),
-    Option("a-deg", float, 0.0, ("chsh",)),
-    Option("a2-deg", float, 45.0, ("chsh",)),
-    Option("b-deg", float, -22.5, ("chsh",)),
-    Option("b2-deg", float, -67.5, ("chsh",)),
-    Option("mu", float, 0.1, (GEN,), "mean photon number per window"),
-    Option("rate", float, 1.0e6, (GEN,), "emission attempts per second"),
+    *(Option(name, float, deg, ("chsh",))
+      for name, deg in zip(("a-deg", "a2-deg", "b-deg", "b2-deg"), CANONICAL_CHSH_DEG)),
+    Option("mu", float, _SRC.mu, (GEN,), "mean photon number per window"),
+    Option("rate", float, _SRC.rate, (GEN,), "emission attempts per second"),
     Option("jitter", _truthy, False, (GEN,), "exponential inter-detector delay of scale tau_c/2"),
     Option("in", str, None, (MATCH,), "input stream path"),
     Option("hist-out", str, None, (MATCH,), "write the delay histogram CSV here"),

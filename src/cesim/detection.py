@@ -284,14 +284,11 @@ def selection_efficiency(batch: PairBatch) -> float:
     return int(counts[accept].sum()) / n
 
 
-def sample_coincidence_counts(
-    n_pairs: int, eraser: EraserSetting, rng: np.random.Generator
-) -> tuple[int, int]:
-    """Event-level draw of (cross-path count, accepted-coincidence count)
-    for ``n_pairs`` generated pairs."""
+def sample_coincidence_counts(n_pairs: int, eraser: EraserSetting, rng: np.random.Generator) -> int:
+    """Event-level draw of the accepted-coincidence count of ``n_pairs``
+    generated pairs: each cross-path one is accepted with its COINCIDENCE class."""
     route1 = rng.integers(0, 2, n_pairs)
     route2 = rng.integers(0, 2, n_pairs)
     n_cross = int(np.count_nonzero(route1 != route2))
     p_accept = class_table(eraser).classes[0][Outcome.COINCIDENCE]
-    hits = rng.random(n_cross) < p_accept
-    return n_cross, int(np.count_nonzero(hits))
+    return int(np.count_nonzero(rng.random(n_cross) < p_accept))

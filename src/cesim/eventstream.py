@@ -67,31 +67,7 @@ HEADER_SIZE = len(MAGIC) + 2  # 10
 
 
 class StreamFormatError(ValueError):
-    """Base class for time-tag serialization errors."""
-
-
-class BadMagicError(StreamFormatError):
-    pass
-
-
-class VersionMismatchError(StreamFormatError):
-    pass
-
-
-class TruncatedRecordError(StreamFormatError):
-    pass
-
-
-class TimestampOrderError(StreamFormatError):
-    pass
-
-
-class UnknownChannelError(StreamFormatError):
-    pass
-
-
-class TimestampRangeError(StreamFormatError):
-    pass
+    """A time-tag stream breaks a wire-format rule; the message names it."""
 
 
 class TagStream:
@@ -121,20 +97,20 @@ class TagStream:
         return self._array
 
     def validate(self) -> None:
-        """Raise the StreamFormatError of the first broken wire-format rule:
+        """Raise StreamFormatError naming the first broken wire-format rule:
         channels in {0, 1}, timestamps below 2**63, time order per channel."""
         channel = self._array["channel"]
         t = self._array["t_ps"]
         if np.any(channel > 1):
-            raise UnknownChannelError("channel outside {0 = D1, 1 = D2}")
+            raise StreamFormatError("channel outside {0 = D1, 1 = D2}")
         if np.any(t >= T_PS_LIMIT):
-            raise TimestampRangeError("timestamp at or above 2**63 ps")
+            raise StreamFormatError("timestamp at or above 2**63 ps")
         if np.all(t[1:] >= t[:-1]):
             return  # in time order overall, so in time order per channel
         for ch in (0, 1):
             t_ch = t[channel == ch]
             if np.any(t_ch[1:] < t_ch[:-1]):
-                raise TimestampOrderError("timestamps must be non-decreasing per channel")
+                raise StreamFormatError("timestamps must be non-decreasing per channel")
 
     def __len__(self) -> int:
         return len(self._array)
@@ -157,13 +133,13 @@ def encode_stream(stream: TagStream) -> bytes:
 def decode_stream(data: bytes) -> TagStream:
     """Parse the wire format back into a stream, validating as it goes."""
     if len(data) < HEADER_SIZE or data[: len(MAGIC)] != MAGIC:
-        raise BadMagicError("not a CESIMTT1 stream")
+        raise StreamFormatError("not a CESIMTT1 stream")
     version = int.from_bytes(data[len(MAGIC) : HEADER_SIZE], "little")
     if version != VERSION:
-        raise VersionMismatchError(f"unsupported stream version {version}")
+        raise StreamFormatError(f"unsupported stream version {version}")
     body_size = len(data) - HEADER_SIZE
     if body_size % RECORD_SIZE != 0:
-        raise TruncatedRecordError(
+        raise StreamFormatError(
             f"stream body of {body_size} bytes is not a whole number of {RECORD_SIZE}-byte records"
         )
     array = np.frombuffer(data, dtype=RECORD_DTYPE, offset=HEADER_SIZE).copy()
@@ -477,11 +453,15 @@ def histogram_tau_si(coincidences: np.ndarray, bin_ps: float, range_ps: float) -
     return TauHistogram(lo, hi, counts.astype(np.int64))
 
 
-def fit_decay_ps(hist: TauHistogram, min_count: int = 10) -> float:
+FIT_MIN_COUNT = 50  # a bin with fewer counts has too noisy a log to fit
+
+
+def fit_decay_ps(hist: TauHistogram) -> float:
     """Decay constant of the positive-side exponential envelope, fitted as a
-    weighted straight line through the log counts."""
+    weighted straight line through the log counts of the bins holding at
+    least ``FIT_MIN_COUNT``."""
     centers = hist.centers_ps
-    mask = (centers > 0) & (hist.counts >= min_count)
+    mask = (centers > 0) & (hist.counts >= FIT_MIN_COUNT)
     if int(mask.sum()) < 2:
         raise ValueError("not enough populated bins to fit a decay")
     x = centers[mask]
@@ -521,7 +501,7 @@ def synthesize_stream(
         delay_ps = np.rint(delay_s * 1e12)
     del delay_s
     if not delay_ps.max(initial=0.0) < T_PS_LIMIT:  # checked before the cast, which would wrap
-        raise TimestampRangeError("timestamp at or above 2**63 ps")
+        raise StreamFormatError("timestamp at or above 2**63 ps")
     delay_ps = delay_ps.astype(np.int64)
 
     if eraser is None:
@@ -561,7 +541,7 @@ def synthesize_stream(
         key[:, slot] += t_emit
     del t_emit, delay_ps
     if np.any((key < 0) & keep):  # wrapped around the int64 range
-        raise TimestampRangeError("timestamp at or above 2**63 ps")
+        raise StreamFormatError("timestamp at or above 2**63 ps")
     # Below 2**63, t_ps << 1 fits the unsigned key, whose order is time,
     # then D1 before D2.
     key = key.view(np.uint64)

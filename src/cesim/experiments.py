@@ -9,8 +9,9 @@ when any cell exceeds the family-wise threshold of its table: the
 two-sided z at which a table of m independent cells raises a false alarm
 as often as one cell does at 3 sigma (Sidak). That is 3 for CHSH, and
 3.97, 4.16, 4.46 and 3.82 for the default fig2b, fig2a, local and
-dephasing tables (37, 84, 324 and 20 cells). The fig2a/fig2b rows also
-carry each cell's distance as ``discrepancy_sigma``.
+dephasing tables (37, 84, 324 and 20 cells); a local or dephasing cell
+with too few draws to measure is refused with ValueError instead. The
+fig2a/fig2b rows also carry each cell's distance as ``discrepancy_sigma``.
 
 CSV output is UTF-8, comma separated, '.' decimal marker, floats at 17
 significant digits; identical inputs produce byte-identical files.
@@ -37,12 +38,12 @@ from .interferometer import (
     PairSetting,
     eraser_amplitudes,
     eraser_intensity,
-    local_intensity,
     output_fields,
     pair_phase,
     port_intensities,
 )
-from .source import DetuningGrid, effective_grid
+from .optics import power
+from .source import DetuningGrid
 
 
 class RunMode(Enum):
@@ -144,13 +145,13 @@ def mc_estimates(
     seed derived from ``seed``.
     """
     seeds = np.random.SeedSequence(seed).spawn(len(erasers) + 1)
-    _, ref = sample_coincidence_counts(n_pairs, EraserSetting(0.0, 0.0), np.random.default_rng(seeds[0]))
+    ref = sample_coincidence_counts(n_pairs, EraserSetting(0.0, 0.0), np.random.default_rng(seeds[0]))
     if ref == 0:
         raise ValueError("reference run produced no accepted coincidences")
     v_ref = ref * (1.0 - ref / n_pairs)
 
     def one(eraser, seq):
-        _, acc = sample_coincidence_counts(n_pairs, eraser, np.random.default_rng(seq))
+        acc = sample_coincidence_counts(n_pairs, eraser, np.random.default_rng(seq))
         r = acc / ref
         v_acc = acc * (1.0 - acc / n_pairs)
         err = math.sqrt(v_acc / ref**2 + (acc**2) * v_ref / ref**4)
@@ -191,13 +192,21 @@ def _self_check(what: str, cells: Iterable[tuple[float, float, float]]) -> list[
     return sigmas
 
 
-def _binomial_cells(analytic: dict, stochastic: dict, n: int) -> list[tuple[float, float, float]]:
-    """Self-check cells of click fractions over ``n`` draws, column by column."""
-    return [
-        (p, est, math.sqrt(max(p * (1 - p), 1e-300) / n))
-        for a_col, s_col in zip(analytic.values(), stochastic.values())
-        for p, est in zip(a_col, s_col)
-    ]
+MIN_RARE_DRAWS = 5  # fewest expected draws n * min(p, 1 - p) on which a normal error holds
+
+
+def _binomial_check(what: str, analytic: dict, stochastic: dict, n: int, draws: str) -> None:
+    """``_self_check`` of click fractions over ``n`` draws, column by column,
+    after a ValueError "too few ``draws``" for any cell expecting fewer than
+    ``MIN_RARE_DRAWS`` on its rarer side, unless it is within 1e-12 of 0 or 1."""
+    columns = zip(analytic.values(), stochastic.values())
+    cells = [(p, est) for a_col, s_col in columns for p, est in zip(a_col, s_col)]
+    for i, (p, _) in enumerate(cells):
+        rare = min(p, 1 - p)
+        if rare > 1e-12 and n * rare < MIN_RARE_DRAWS:
+            raise ValueError(f"{what} cell {i} expects {n * rare:.3g} of {n} draws on its rarer side, "
+                             f"below {MIN_RARE_DRAWS}: too few {draws}")
+    _self_check(what, [(p, est, math.sqrt(max(p * (1 - p), 1e-300) / n)) for p, est in cells])
 
 
 def _click_fraction(rng: np.random.Generator, p, n: int) -> float:
@@ -241,6 +250,11 @@ def _r_si_table(cfg: ExperimentConfig, base: dict, analytic: list[float], eraser
     return _table(cfg.mode, base, {"r_si": analytic}, stochastic, both)
 
 
+def _grid_values(cfg: ExperimentConfig) -> np.ndarray:
+    """The points of ``cfg.grid``, or of the default grid of ``cfg.delta_big``."""
+    return (cfg.grid if cfg.grid is not None else DetuningGrid.default_grid(cfg.delta_big)).values()
+
+
 DEFAULT_FIG2A_ANGLES_DEG = ((0.0, 0.0), (22.5, 22.5), (30.0, 15.0), (45.0, 45.0))
 
 
@@ -249,7 +263,7 @@ def run_fig2a(cfg: ExperimentConfig, angles_deg: Iterable[tuple[float, float]] |
     analyzer pair.  Within a fixed analyzer pair all rows coincide: the
     branch phase cancels in the gated product."""
     angles = tuple(angles_deg if angles_deg is not None else DEFAULT_FIG2A_ANGLES_DEG)
-    grid_values = effective_grid(cfg.grid, cfg.delta_big).values()
+    grid_values = _grid_values(cfg)
     rows = [(xi_deg, theta_deg, float(df)) for xi_deg, theta_deg in angles for df in grid_values]
     erasers = [EraserSetting(math.radians(xi_deg), math.radians(theta_deg)) for xi_deg, theta_deg, _ in rows]
     analytic = [
@@ -268,7 +282,7 @@ def run_fig2b(cfg: ExperimentConfig, theta_deg: float = 0.0,
     """Grid-averaged zero-delay correlation against the summed analyzer
     angle; equals cos^2(xi + theta) pointwise."""
     sweep = tuple(xi_sweep_deg if xi_sweep_deg is not None else default_fig2b_sweep())
-    grid_values = effective_grid(cfg.grid, cfg.delta_big).values()
+    grid_values = _grid_values(cfg)
     erasers = [EraserSetting(math.radians(xi_deg), math.radians(theta_deg)) for xi_deg in sweep]
     settings = [setting_for(float(df), cfg.tau) for df in grid_values]
     analytic = [float(np.mean([analytic_r(setting, eraser, raw=cfg.raw_values) for setting in settings]))
@@ -289,7 +303,6 @@ def run_local(
     cfg: ExperimentConfig,
     eraser: EraserSetting | None = None,
     taus: Sequence[float] | None = None,
-    delta_f: float | None = None,
 ) -> Table:
     """Local intensities against the arm delay.
 
@@ -297,15 +310,14 @@ def run_local(
     intensities fringe with visibilities |sin 2 xi| and |sin 2 theta|.
     """
     eraser = eraser if eraser is not None else EraserSetting(math.pi / 4, math.pi / 4)
-    df = cfg.delta_big if delta_f is None else delta_f
     tau_values = np.asarray(taus if taus is not None else default_local_taus(cfg.delta_big))
 
     rows = []
     for tau in tau_values:
-        setting = setting_for(df, float(tau))
+        setting = setting_for(cfg.delta_big, float(tau))
         port_a, port_b = output_fields(setting)
         e_s, e_i = eraser_amplitudes(setting, eraser)
-        rows.append((float(tau), df, setting.phase, local_intensity(port_a), local_intensity(port_b),
+        rows.append((float(tau), cfg.delta_big, setting.phase, power(port_a), power(port_b),
                      eraser_intensity(e_s), eraser_intensity(e_i)))
     analytic = _columns(("i_a", "i_b", "i_s", "i_i"), [row[3:] for row in rows])
     stochastic = {}
@@ -314,7 +326,7 @@ def run_local(
         draws = [[_click_fraction(rng, p, cfg.n_pairs) for p in row[3:]] for row in rows]
         stochastic = _columns([f"{name}_mc" for name in analytic], draws)
     if cfg.mode is RunMode.BOTH:
-        _self_check("local intensity", _binomial_cells(analytic, stochastic, cfg.n_pairs))
+        _binomial_check("local intensity", analytic, stochastic, cfg.n_pairs, "pairs")
     return _table(cfg.mode, _columns(("tau_s", "delta_f_hz", "phi_rad"), rows), analytic, stochastic)
 
 
@@ -360,7 +372,7 @@ def run_dephasing(
         for column, i in zip(stochastic.values(), intensities):  # the i_s draw, then the i_i draw
             column.append(_click_fraction(rng, i, n_samples))
     if cfg.mode is RunMode.BOTH:
-        _self_check("dephasing", _binomial_cells(analytic, stochastic, n_samples))
+        _binomial_check("dephasing", analytic, stochastic, n_samples, "samples")
     return _table(cfg.mode, {"tau_s": [float(tau) for tau in tau_values]}, analytic, stochastic)
 
 
@@ -416,7 +428,7 @@ def run_chsh(
         for (alpha, beta), seq in zip(pairs, seeds):
             rng = np.random.default_rng(seq)
             counts = [
-                sample_coincidence_counts(cfg.n_pairs, EraserSetting(x, y), rng)[1]
+                sample_coincidence_counts(cfg.n_pairs, EraserSetting(x, y), rng)
                 for x, y in _chsh_subsettings(alpha, beta)
             ]
             n_plus = counts[0] + counts[1]

@@ -29,7 +29,6 @@ from .optics import (
     hwp_22_5,
     mirror,
     pbs_route,
-    power,
 )
 
 # The two arms are detuned by +delta_f and -delta_f, so their interference
@@ -114,16 +113,6 @@ def output_fields(setting: PairSetting) -> tuple[Field, Field]:
     folded = mirror(tagged, 0)  # arm 1 crosses one extra fold
     port_a, port_b = pbs_route(folded)
     return _anchor_phase(port_a), _anchor_phase(port_b)
-
-
-def local_intensity(fld: Field) -> float:
-    """Detected intensity without an analyzer.
-
-    Distinct slots are orthogonal modes, so this is the plain power sum;
-    for either network output it is 1/2 regardless of delay, detuning and
-    orientation.
-    """
-    return power(fld)
 
 
 def eraser_amplitudes(setting: PairSetting, eraser: EraserSetting) -> tuple[Field, Field]:

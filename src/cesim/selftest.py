@@ -19,10 +19,9 @@ from .interferometer import (
     PairSetting,
     eraser_amplitudes,
     eraser_intensity,
-    local_intensity,
     output_fields,
 )
-from .optics import bs_transform
+from .optics import bs_transform, power
 from .source import SourceConfig, sample_n_pairs
 
 
@@ -38,7 +37,7 @@ def _check_local_uniformity() -> bool:
     for _ in range(50):
         setting = PairSetting(float(rng.uniform(0, 2e6)), tau=float(rng.uniform(0, 1e-4)))
         port_a, port_b = output_fields(setting)
-        if abs(local_intensity(port_a) - 0.5) > 1e-12 or abs(local_intensity(port_b) - 0.5) > 1e-12:
+        if abs(power(port_a) - 0.5) > 1e-12 or abs(power(port_b) - 0.5) > 1e-12:
             return False
     return True
 

@@ -66,17 +66,11 @@ class DetuningGrid:
         return values[rng.integers(0, len(values), n)]
 
 
-def effective_grid(grid: DetuningGrid | None, delta_big: float) -> DetuningGrid:
-    """``grid``, or the default grid of ``delta_big`` when it is None."""
-    return grid if grid is not None else DetuningGrid.default_grid(delta_big)
-
-
 @dataclass(frozen=True, slots=True)
 class SourceConfig:
     mu: float = 0.1
     rate: float = 1.0e6
     delta_big: float = 1.0e6
-    grid: DetuningGrid | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -102,6 +96,11 @@ class PairBatch:
     The routing columns hold the integers the rest of the pipeline indexes
     by: a route is the arm of origin, 1 or 2, and a port is the detector
     channel the photon would reach, 0 (port A, D1) or 1 (port B, D2).
+
+    ``delta_f`` is ground truth only: the gated observables do not depend
+    on it and nothing downstream reads it.  It is still drawn, because
+    dropping the draw would move every later one and change the bytes a
+    given seed writes.
     """
 
     pair_id: np.ndarray       # uint32
@@ -131,7 +130,7 @@ def sample_n_pairs(cfg: SourceConfig, n: int) -> PairBatch:
         t_emit_ps = np.rint(np.cumsum(gaps) * 1e12)
     if n and not t_emit_ps[-1] < T_PS_LIMIT:  # the last is the latest
         raise ValueError("emission times reach 2**63 ps: too low a pair rate for this many pairs")
-    delta_f = effective_grid(cfg.grid, cfg.delta_big).sample(rng, n)
+    delta_f = DetuningGrid.default_grid(cfg.delta_big).sample(rng, n)
     orientation = (rng.integers(0, 2, n, dtype=np.int8) * 2 - 1).astype(np.int8)
     route1 = rng.integers(1, 3, n, dtype=np.uint8)
     route2 = rng.integers(1, 3, n, dtype=np.uint8)

@@ -29,7 +29,7 @@ import pytest
 
 from cesim import detection
 from cesim.detection import FLAG_POL_V, CoincidenceSetting, Outcome, class_table, mode_tag
-from cesim.eventstream import TagStream, TimestampRangeError
+from cesim.eventstream import StreamFormatError, TagStream
 
 SQ = math.sqrt(0.5)
 
@@ -431,7 +431,7 @@ def reference_synthesize(batch, eraser=None, coincidence=None, jitter: bool = Fa
         nonlocal filled
         t = t_emit[idx] + (delay_ps[idx] if channel == 1 else 0)
         if np.any(t < 0):  # wrapped around the int64 range
-            raise TimestampRangeError("timestamp at or above 2**63 ps")
+            raise StreamFormatError("timestamp at or above 2**63 ps")
         rows = slice(filled, filled + len(idx))
         key[rows] = (t.astype(np.uint64) << 1) | channel
         tags[rows] = mode_tag(route, channel, s1[idx])

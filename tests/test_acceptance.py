@@ -38,9 +38,9 @@ from cesim.interferometer import (
     PairSetting,
     eraser_amplitudes,
     eraser_intensity,
-    local_intensity,
     output_fields,
 )
+from cesim.optics import power
 from cesim.source import DetuningGrid, SourceConfig, sample_n_pairs
 
 from _oracles import visibility
@@ -105,7 +105,7 @@ def test_criterion_04_local_uniformity():
         for df in GRID:
             setting = setting_for(float(df), factor / DELTA)
             port_a, port_b = output_fields(setting)
-            values.append((local_intensity(port_a), local_intensity(port_b)))
+            values.append((power(port_a), power(port_b)))
     i_a = [v[0] for v in values]
     i_b = [v[1] for v in values]
     worst = max(max(i_a) - min(i_a), max(i_b) - min(i_b))
@@ -182,7 +182,7 @@ def test_criterion_09_envelope_decay():
     coincidences = match_coincidences(stream, 10_000_000)
     accepted = coincidences[coincidences["accepted"]]
     hist = histogram_tau_si(accepted, 50_000, 8_000_000)
-    decay_s = fit_decay_ps(hist, min_count=50) * 1e-12
+    decay_s = fit_decay_ps(hist) * 1e-12
     rel = abs(decay_s - tau_c / 2) / (tau_c / 2)
     ok = rel <= 0.10
     report(9, "delay histogram decay tau_c/2", ok, f"fit {decay_s*1e6:.4f} us, rel err {rel:.3%}, n={len(accepted)}")

@@ -182,6 +182,8 @@ class TestParsing:
             ["events-match", "--in", "ok.bin", "--hist-out", "h.csv", "--range-ps", "0"],
             ["events-match", "--in", "ok.bin", "--hist-out", "h.csv", "--bin-ps", "1", "--range-ps", "1000000000"],
             ["fig2b", "--mode", "both", "--pairs", "3"],
+            ["local", "--mode", "both", "--pairs", "1"],
+            ["dephasing", "--mode", "both", "--samples", "1"],
             ["events-generate", "--pairs", "10", "--delta-hz", "1e308", "--out", "x.bin"],
             ["events-generate", "--pairs", "10", "--tau-si-s", "1e300", "--out", "x.bin"],
             ["events-generate", "--pairs", "1000", "--rate", "1e-6", "--out", "x.bin"],

@@ -366,8 +366,7 @@ class TestSelectionEfficiency:
     def test_event_level_sampler_matches_law(self):
         rng = np.random.default_rng(31)
         n = 200_000
-        n_cross, n_acc = sample_coincidence_counts(n, EraserSetting(0.0, 0.0), rng)
-        assert abs(n_cross / n - 0.5) < 3 * math.sqrt(0.25 / n)
+        n_acc = sample_coincidence_counts(n, EraserSetting(0.0, 0.0), rng)
         assert abs(n_acc / n - 0.125) < 3 * math.sqrt(0.125 * 0.875 / n)
 
 

@@ -20,14 +20,8 @@ from cesim.eventstream import (
     RECORD_DTYPE,
     RECORD_SIZE,
     REJECT_REASONS,
-    BadMagicError,
     StreamFormatError,
     TagStream,
-    TimestampOrderError,
-    TimestampRangeError,
-    TruncatedRecordError,
-    UnknownChannelError,
-    VersionMismatchError,
     decode_stream,
     encode_stream,
     fit_decay_ps,
@@ -120,18 +114,18 @@ class TestWireFormat:
         assert decode_stream(encode_stream(stream)) == stream
 
     def test_bad_magic(self):
-        with pytest.raises(BadMagicError):
+        with pytest.raises(StreamFormatError, match="not a CESIMTT1 stream"):
             decode_stream(b"NOTMAGIC" + b"\x01\x00")
-        with pytest.raises(BadMagicError):
+        with pytest.raises(StreamFormatError, match="not a CESIMTT1 stream"):
             decode_stream(b"CESIM")  # short header
 
     def test_version_mismatch(self):
-        with pytest.raises(VersionMismatchError):
+        with pytest.raises(StreamFormatError, match="unsupported stream version"):
             decode_stream(MAGIC + (2).to_bytes(2, "little"))
 
     def test_truncated_record(self):
         data = encode_stream(make_stream([(1, 0, 0, 7)]))
-        with pytest.raises(TruncatedRecordError):
+        with pytest.raises(StreamFormatError, match="not a whole number of 16-byte records"):
             decode_stream(data[:-3])
 
     def test_timestamp_regression(self):
@@ -139,34 +133,34 @@ class TestWireFormat:
         assert len(decode_stream(good)) == 2  # regression across channels is fine
         raw = bytearray(good)
         raw[HEADER_SIZE + RECORD_SIZE + 8] = 0  # second record onto channel 0 -> regression
-        with pytest.raises(TimestampOrderError):
+        with pytest.raises(StreamFormatError, match="non-decreasing per channel"):
             decode_stream(bytes(raw))
 
     def test_encode_rejects_unsorted(self):
         # a stream is validated when it is built, so there is none to encode
-        with pytest.raises(TimestampOrderError):
+        with pytest.raises(StreamFormatError, match="non-decreasing per channel"):
             encode_stream(make_stream([(100, 0, 0, 0), (50, 0, 0, 1)]))
 
     def test_unknown_channel_rejected(self):
         # a channel-7 click used to decode and match as a D1 click
         rows = [(1000, 7, V_MINUS, 1), (1400, 1, V_PLUS, 1)]
-        with pytest.raises(UnknownChannelError):
+        with pytest.raises(StreamFormatError, match="channel outside"):
             encode_stream(make_stream(rows))
         raw = bytearray(encode_stream(make_stream([(1000, 0, V_MINUS, 1), (1400, 1, V_PLUS, 1)])))
         raw[HEADER_SIZE + 8] = 7
-        with pytest.raises(UnknownChannelError):
+        with pytest.raises(StreamFormatError, match="channel outside"):
             decode_stream(bytes(raw))
-        with pytest.raises(UnknownChannelError):
+        with pytest.raises(StreamFormatError, match="channel outside"):
             match_coincidences(make_stream(rows), 1000)
 
     def test_timestamp_at_2_63_rejected(self):
         # a 20 ps pair straddling 2**63 used to wrap to a negative t2_ps
         rows = [(2**63 - 10, 0, V_MINUS, 1), (2**63 + 10, 1, V_PLUS, 1)]
-        with pytest.raises(TimestampRangeError):
+        with pytest.raises(StreamFormatError, match=r"at or above 2\*\*63 ps"):
             encode_stream(make_stream(rows))
         raw = bytearray(encode_stream(make_stream([(2**63 - 10, 0, V_MINUS, 1)])))
         raw[HEADER_SIZE : HEADER_SIZE + 8] = (2**63).to_bytes(8, "little")
-        with pytest.raises(TimestampRangeError):
+        with pytest.raises(StreamFormatError, match=r"at or above 2\*\*63 ps"):
             decode_stream(bytes(raw))
         last = encode_stream(make_stream([(2**63 - 1, 0, 0, 0)]))  # the largest valid timestamp
         assert stream_rows(decode_stream(last)) == [(2**63 - 1, 0, 0, 0)]
@@ -334,7 +328,7 @@ class TestMatcher:
         arr = np.zeros(2, dtype=RECORD_DTYPE)
         arr[0] = (1000, 0, 0, 0, 0)
         arr[1] = (900, 0, 0, 0, 0)
-        with pytest.raises(TimestampOrderError):
+        with pytest.raises(StreamFormatError, match="non-decreasing per channel"):
             match_coincidences(TagStream(arr), 10)
 
     def test_negative_window_rejected(self):
@@ -593,7 +587,7 @@ class TestHistogram:
         stream = synthesize_stream(batch, coincidence=cs, jitter=True, seed=52)
         out = match_coincidences(stream, 10_000_000)
         hist = histogram_tau_si(out[out["accepted"]], 50_000, 8_000_000)
-        decay = fit_decay_ps(hist, min_count=50)
+        decay = fit_decay_ps(hist)
         assert decay == pytest.approx(0.5e6, rel=0.1)
 
 

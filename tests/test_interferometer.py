@@ -10,7 +10,6 @@ from cesim.interferometer import (
     PairSetting,
     eraser_amplitudes,
     eraser_intensity,
-    local_intensity,
     output_fields,
     pair_phase,
     port_intensities,
@@ -85,8 +84,8 @@ class TestLocalIntensity:
     @pytest.mark.parametrize("delta_f", [0.0, 1e6, 2e6])
     def test_uniform_one_half(self, tau, delta_f):
         port_a, port_b = output_fields(PairSetting(delta_f, tau=tau))
-        assert local_intensity(port_a) == pytest.approx(0.5, abs=1e-12)
-        assert local_intensity(port_b) == pytest.approx(0.5, abs=1e-12)
+        assert power(port_a) == pytest.approx(0.5, abs=1e-12)
+        assert power(port_b) == pytest.approx(0.5, abs=1e-12)
 
     def test_independent_of_everything(self, rng):
         values = set()
@@ -97,11 +96,11 @@ class TestLocalIntensity:
                 float(rng.uniform(0, 1e-4)),
             )
             port_a, _ = output_fields(setting)
-            values.add(round(local_intensity(port_a), 13))
+            values.add(round(power(port_a), 13))
         assert values == {0.5}
 
     def test_empty_field(self):
-        assert local_intensity(field()) == 0.0
+        assert power(field()) == 0.0
 
 
 class TestEraserAmplitudes:
@@ -186,7 +185,7 @@ class TestEraserIntensity:
             port_a, _ = output_fields(setting)
             i_1 = eraser_intensity(eraser_amplitudes(setting, EraserSetting(xi, 0.0))[0])
             i_2 = eraser_intensity(eraser_amplitudes(setting, EraserSetting(xi + math.pi / 2, 0.0))[0])
-            assert i_1 + i_2 == pytest.approx(local_intensity(port_a), abs=1e-12)
+            assert i_1 + i_2 == pytest.approx(power(port_a), abs=1e-12)
 
 
 class TestVisibilityLaw:
