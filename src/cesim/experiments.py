@@ -9,8 +9,9 @@ when any cell exceeds the family-wise threshold of its table: the
 two-sided z at which a table of m independent cells raises a false alarm
 as often as one cell does at 3 sigma (Sidak). That is 3 for CHSH, and
 3.97, 4.16, 4.46 and 3.82 for the default fig2b, fig2a, local and
-dephasing tables (37, 84, 324 and 20 cells); a local or dephasing cell
-with too few draws to measure is refused with ValueError instead. The
+dephasing tables (37, 84, 324 and 20 cells); a cell with too few
+expected draws to measure (``MIN_RARE_DRAWS``) is refused with ValueError
+instead. The
 fig2a/fig2b rows also carry each cell's distance as ``discrepancy_sigma``.
 
 CSV output is UTF-8, comma separated, '.' decimal marker, floats at 17
@@ -192,20 +193,26 @@ def _self_check(what: str, cells: Iterable[tuple[float, float, float]]) -> list[
     return sigmas
 
 
-MIN_RARE_DRAWS = 5  # fewest expected draws n * min(p, 1 - p) on which a normal error holds
+MIN_RARE_DRAWS = 10  # fewest expected draws n * min(p, 1 - p) on which a normal error holds
 
 
-def _binomial_check(what: str, analytic: dict, stochastic: dict, n: int, draws: str) -> None:
-    """``_self_check`` of click fractions over ``n`` draws, column by column,
-    after a ValueError "too few ``draws``" for any cell expecting fewer than
-    ``MIN_RARE_DRAWS`` on its rarer side, unless it is within 1e-12 of 0 or 1."""
-    columns = zip(analytic.values(), stochastic.values())
-    cells = [(p, est) for a_col, s_col in columns for p, est in zip(a_col, s_col)]
-    for i, (p, _) in enumerate(cells):
+def _refuse_rare(what: str, probabilities: Iterable[float], n: int, draws: str) -> None:
+    """ValueError "too few ``draws``" for the first cell whose probability
+    expects fewer than ``MIN_RARE_DRAWS`` of ``n`` draws on its rarer side,
+    unless it is within 1e-12 of 0 or 1, where the twin is exact."""
+    for i, p in enumerate(probabilities):
         rare = min(p, 1 - p)
         if rare > 1e-12 and n * rare < MIN_RARE_DRAWS:
             raise ValueError(f"{what} cell {i} expects {n * rare:.3g} of {n} draws on its rarer side, "
                              f"below {MIN_RARE_DRAWS}: too few {draws}")
+
+
+def _binomial_check(what: str, analytic: dict, stochastic: dict, n: int, draws: str) -> None:
+    """``_self_check`` of click fractions over ``n`` draws, column by column,
+    after ``_refuse_rare`` of their probabilities."""
+    columns = zip(analytic.values(), stochastic.values())
+    cells = [(p, est) for a_col, s_col in columns for p, est in zip(a_col, s_col)]
+    _refuse_rare(what, [p for p, _ in cells], n, draws)
     _self_check(what, [(p, est, math.sqrt(max(p * (1 - p), 1e-300) / n)) for p, est in cells])
 
 
@@ -238,6 +245,10 @@ def _r_si_table(cfg: ExperimentConfig, base: dict, analytic: list[float], eraser
     if cfg.raw_values and cfg.mode is not RunMode.ANALYTIC:
         raise ValueError("raw values have no stochastic twin; use the analytic mode")
     stochastic, both = {}, None
+    if cfg.mode is RunMode.BOTH:
+        # a pair draws an accepted coincidence with probability r / 8, an aligned reference one with 1 / 8
+        _refuse_rare("r_si", [r / 8 for r in analytic], cfg.n_pairs, "pairs")
+        _refuse_rare("r_si reference", [1 / 8], cfg.n_pairs, "pairs")
     if cfg.mode is not RunMode.ANALYTIC:
         # stochastic path: accepted counts per analyzer setting, normalized
         # by the aligned-analyzer reference counts; no detuning is drawn,

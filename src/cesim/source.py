@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 T_PS_LIMIT = 2**63  # keeps every timestamp exact in the matcher's int64 arithmetic
+MAX_PAIRS = 0xFFFFFFFF  # pair ids 0 .. MAX_PAIRS - 1 fit a u32 below the wire format's absent id 0xFFFFFFFF
 
 
 def poisson_pair_probability(mu: float) -> float:
@@ -122,8 +123,8 @@ class PairBatch:
 
 def sample_n_pairs(cfg: SourceConfig, n: int) -> PairBatch:
     """Exactly ``n`` pair events with exponential inter-emission times."""
-    if n < 0:
-        raise ValueError("pair count must be non-negative")
+    if not 0 <= n <= MAX_PAIRS:
+        raise ValueError(f"pair count must be between 0 and {MAX_PAIRS}, got {n}")
     rng = np.random.default_rng(cfg.seed)
     gaps = rng.exponential(1.0 / cfg.pair_rate, n)
     with np.errstate(over="ignore"):  # an overflow gives inf, which the check below rejects

@@ -58,7 +58,8 @@ class TestParsing:
 
     @pytest.mark.parametrize(
         "argv", [["fig2b", "--format", "csv"], ["fig2b", "--xi-deg", "10"], ["events-generate", "--grid=0:1:1"],
-                 ["correlation", "--mode", "mc"], ["selftest", "--pairs", "10"]], ids=" ".join,
+                 ["correlation", "--mode", "mc"], ["selftest", "--pairs", "10"], ["selftest", "--seed", "3"]],
+        ids=" ".join,
     )
     def test_option_not_taken_exits_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -182,12 +183,15 @@ class TestParsing:
             ["events-match", "--in", "ok.bin", "--hist-out", "h.csv", "--range-ps", "0"],
             ["events-match", "--in", "ok.bin", "--hist-out", "h.csv", "--bin-ps", "1", "--range-ps", "1000000000"],
             ["fig2b", "--mode", "both", "--pairs", "3"],
+            ["fig2a", "--mode", "both", "--pairs", "64"],
+            ["fig2a", "--mode", "both", "--pairs", "128"],
             ["local", "--mode", "both", "--pairs", "1"],
             ["dephasing", "--mode", "both", "--samples", "1"],
             ["events-generate", "--pairs", "10", "--delta-hz", "1e308", "--out", "x.bin"],
             ["events-generate", "--pairs", "10", "--tau-si-s", "1e300", "--out", "x.bin"],
             ["events-generate", "--pairs", "1000", "--rate", "1e-6", "--out", "x.bin"],
             ["events-generate", "--pairs", "10", "--mu", "1e-200", "--out", "x.bin"],
+            ["events-generate", "--pairs", "4294967296", "--out", "x.bin"],
             ["fig2b", "--mode", "mc", "--pairs", "1"],
             ["chsh", "--mode", "mc", "--pairs", "1"],
             ["fig2b", "--grid=0:1e300:1e-300"],
@@ -259,7 +263,6 @@ _INERT = {
        for name in ("correlation", "fig2a", "fig2b", "chsh")},
     **{(name, "delta-hz"): "the detuning phase cancels in the gated product (criterion 02)"
        for name in ("correlation", "fig2b", "chsh")},
-    ("selftest", "seed"): "the battery prints pass/fail lines only",
     ("dephasing", "pairs"): "not read; the tables_mc workload of perfbench passes it",
 }
 _ACTS_BASE = {"dephasing": ["--samples=2000"], "events-generate": ["--pairs=2000", "--out=x.bin"],
@@ -506,9 +509,28 @@ class TestCommands:
         assert abs(accepted / 20000 - expected) < 4 * sigma
 
     def test_selftest_passes(self, capsys):
-        code, out, _ = run_cli(["selftest", "--seed", "3"], capsys)
+        code, out, _ = run_cli(["selftest"], capsys)
         assert code == 0
-        assert "[FAIL]" not in out
+        lines = out.splitlines()
+        assert [line[:19] for line in lines[:-1]] == [f"[PASS] criterion {n:02d}" for n in range(1, 12)]
+        assert lines[-1] == "selftest: 11/11 criteria passed"
+
+    def test_selftest_fails_on_a_failing_or_raising_criterion(self, monkeypatch, capsys):
+        from cesim import selftest
+
+        def failing():
+            return selftest.Result(1, "planted", (("x", 1.0, "<", 0.5),), "x=1")
+
+        def raising():
+            raise RuntimeError("planted")
+
+        monkeypatch.setattr(selftest, "CRITERIA", (failing, selftest.criterion_02_detuning_independence, raising))
+        code, out, _ = run_cli(["selftest"], capsys)
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[0] == "[FAIL] criterion 01 planted: x=1"
+        assert lines[1].startswith("[PASS] criterion 02 ")
+        assert lines[2:] == ["[FAIL] raising: RuntimeError: planted", "selftest: 1/3 criteria passed"]
 
     def test_same_seed_same_csv_bytes(self, tmp_path, capsys):
         paths = []
@@ -562,3 +584,5 @@ class TestCommands:
         assert code == 0
         header = out_path.read_text().splitlines()[0]
         assert "r_si_mc" in header and "discrepancy_sigma" in header
+        # the default fig2a table's rarest cells expect 16 accepted coincidences at 256 pairs, above 10
+        assert run_cli(["fig2a", "--mode", "both", "--pairs", "256"], capsys)[0] == 0

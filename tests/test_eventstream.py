@@ -555,6 +555,8 @@ class TestHistogram:
         assert hist.counts[center] == 50
         assert hist.counts.sum() == 50
         assert hist.bin_lo_ps[center] == -50.0 and hist.bin_hi_ps[center] == 50.0
+        for tau_ps, k in ((50, center + 1), (-50, center)):  # bins are [lo, hi): +bin/2 opens the next
+            assert histogram_tau_si(accepted_coincidences(1, tau_ps), 100, 1000).counts[k] == 1
 
     def test_rejects_bad_bins(self):
         none = accepted_coincidences(0)

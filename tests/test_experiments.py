@@ -261,12 +261,13 @@ class TestSelfCheck:
             _self_check("unit", [(0.5, 0.5, 0.0), (0.5, 0.6, 0.0)])
 
     def test_message_names_every_bad_cell_and_the_threshold(self):
-        cells = [(0.0, 0.05, 0.01), (0.0, 0.0, 0.01), (0.0, -0.1, 0.01)]
+        # cell 3 is 1e-6 off, far above the 1e-12 agreement cut, with an error of 1e-9
+        cells = [(0.0, 0.05, 0.01), (0.0, 0.0, 0.01), (0.0, -0.1, 0.01), (0.5, 0.5 + 1e-6, 1e-9)]
         with pytest.raises(SelfCheckError) as exc:
             _self_check("unit", cells)
         message = str(exc.value)
-        assert f"2 of 3 unit cell(s) disagree beyond {family_threshold(3):.3f} sigma" in message
-        assert "cell 0 at 5.00" in message and "cell 2 at 10.00" in message
+        assert f"3 of 4 unit cell(s) disagree beyond {family_threshold(4):.3f} sigma" in message
+        assert "cell 0 at 5.00" in message and "cell 2 at 10.00" in message and "cell 3 at 1000.00" in message
         assert "cell 1 " not in message
 
 

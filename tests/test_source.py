@@ -57,6 +57,12 @@ class TestSampling:
         for name in ("pair_id", "delta_f", "orientation_sign", "route1", "route2", "port1", "port2", "t_emit_ps"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
+    def test_pair_count_keeps_ids_below_the_absent_id(self):
+        # pair id 0xFFFFFFFF marks an absent pair on the wire; refused before any draw
+        for n in (-1, 2**32):
+            with pytest.raises(ValueError, match="pair count must be between 0 and 4294967295"):
+                sample_n_pairs(SourceConfig(), n)
+
     def test_different_seeds_differ(self):
         a = sample_n_pairs(SourceConfig(seed=1), 1000)
         b = sample_n_pairs(SourceConfig(seed=2), 1000)
